@@ -2,42 +2,62 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 namespace idea::storage {
 
-SortedComponent::SortedComponent(uint64_t id, std::vector<Row> rows)
-    : id_(id), rows_(std::move(rows)) {
+SortedComponent::SortedComponent(std::vector<Row> rows) : rows_(std::move(rows)) {
   for (size_t i = 0; i + 1 < rows_.size(); ++i) {
     assert(adm::Value::Compare(rows_[i].first, rows_[i + 1].first) < 0 &&
            "component rows must be strictly key-sorted");
   }
-  for (const auto& [k, e] : rows_) {
-    bytes_ += k.EstimateSize() + e.record.EstimateSize() + 48;
-  }
 }
 
-std::shared_ptr<const SortedComponent> SortedComponent::FromMemTable(
-    uint64_t id, const MemTable& mem) {
-  std::vector<Row> rows;
-  rows.reserve(mem.entry_count());
-  for (const auto& [k, e] : mem.entries()) rows.emplace_back(k, e);
-  return std::make_shared<const SortedComponent>(id, std::move(rows));
-}
-
-std::shared_ptr<const SortedComponent> SortedComponent::Merge(
-    uint64_t id,
-    const std::vector<std::shared_ptr<const SortedComponent>>& oldest_first) {
-  // Oldest-to-newest overwrite merge. Tombstones survive the merge (a full
-  // compaction could drop them; kept so newer merges stay correct).
-  std::map<adm::Value, RecordEntry> merged;
-  for (const auto& comp : oldest_first) {
-    for (const auto& [k, e] : comp->rows()) merged[k] = e;
+SortedComponent SortedComponent::Merge(std::vector<SortedComponent> oldest_first) {
+  // One cursor per run on a min-heap ordered by key, then newest run first,
+  // so the top is always the newest version of the smallest pending key.
+  // Every run holds a key at most once, so after taking the top, the older
+  // versions of that key sit directly below it and are skipped.
+  struct Cursor {
+    std::vector<Row>* rows;
+    size_t pos;
+    size_t run;  // higher = newer
+    const adm::Value& key() const { return (*rows)[pos].first; }
+  };
+  auto after = [](const Cursor& a, const Cursor& b) {
+    int c = adm::Value::Compare(a.key(), b.key());
+    return c != 0 ? c > 0 : a.run < b.run;
+  };
+  std::vector<Cursor> heap;
+  size_t total = 0;
+  for (size_t r = 0; r < oldest_first.size(); ++r) {
+    std::vector<Row>& rows = oldest_first[r].rows_;
+    total += rows.size();
+    if (!rows.empty()) heap.push_back(Cursor{&rows, 0, r});
   }
-  std::vector<Row> rows;
-  rows.reserve(merged.size());
-  for (auto& [k, e] : merged) rows.emplace_back(k, std::move(e));
-  return std::make_shared<const SortedComponent>(id, std::move(rows));
+  std::make_heap(heap.begin(), heap.end(), after);
+  // Pops the top cursor, hands its row to `take`, and re-queues the cursor
+  // one row further on. The row leaves the heap before it is touched, so a
+  // moved-from key is never compared.
+  auto pop = [&](auto&& take) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Cursor& c = heap.back();
+    take((*c.rows)[c.pos]);
+    if (++c.pos < c.rows->size()) {
+      std::push_heap(heap.begin(), heap.end(), after);
+    } else {
+      heap.pop_back();
+    }
+  };
+  std::vector<Row> merged;
+  merged.reserve(total);
+  while (!heap.empty()) {
+    pop([&](Row& row) { merged.push_back(std::move(row)); });
+    while (!heap.empty() &&
+           adm::Value::Compare(heap.front().key(), merged.back().first) == 0) {
+      pop([](Row&) {});
+    }
+  }
+  return SortedComponent(std::move(merged));
 }
 
 const RecordEntry* SortedComponent::Get(const adm::Value& key) const {

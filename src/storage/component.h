@@ -1,9 +1,10 @@
 // Immutable sorted LSM component ("disk component"): a frozen, key-ordered
-// run produced by flushing a memtable or merging older components.
+// run produced by flushing a memtable or merging older components. A
+// component owns its rows outright: flushes move memtable entries in and
+// merges move rows out of the runs they consume, so no record is copied on
+// the way down the tree.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "adm/value.h"
@@ -13,32 +14,29 @@ namespace idea::storage {
 
 class SortedComponent {
  public:
-  using Row = std::pair<adm::Value, RecordEntry>;
+  using Row = KeyedEntry;
 
-  /// Builds from rows that must already be sorted by key (asserted in debug).
-  SortedComponent(uint64_t id, std::vector<Row> rows);
+  /// Takes rows that must already be strictly sorted by key (asserted in
+  /// debug builds).
+  explicit SortedComponent(std::vector<Row> rows);
 
-  /// Builds by freezing a memtable.
-  static std::shared_ptr<const SortedComponent> FromMemTable(uint64_t id,
-                                                             const MemTable& mem);
+  SortedComponent(SortedComponent&&) = default;
+  SortedComponent& operator=(SortedComponent&&) = default;
+  SortedComponent(const SortedComponent&) = delete;
+  SortedComponent& operator=(const SortedComponent&) = delete;
 
-  /// Merges components (index 0 = oldest) into one run; newer entries win.
-  static std::shared_ptr<const SortedComponent> Merge(
-      uint64_t id,
-      const std::vector<std::shared_ptr<const SortedComponent>>& oldest_first);
+  /// K-way merges runs (index 0 = oldest) into one, consuming them: each
+  /// key keeps only its newest version, and tombstones are kept (a newer
+  /// merge may still need them to mask a version elsewhere).
+  static SortedComponent Merge(std::vector<SortedComponent> oldest_first);
 
   /// Binary-search point lookup; nullptr when absent.
   const RecordEntry* Get(const adm::Value& key) const;
 
-  uint64_t id() const { return id_; }
-  size_t size() const { return rows_.size(); }
   const std::vector<Row>& rows() const { return rows_; }
-  size_t ApproximateBytes() const { return bytes_; }
 
  private:
-  uint64_t id_;
   std::vector<Row> rows_;
-  size_t bytes_ = 0;
 };
 
 }  // namespace idea::storage

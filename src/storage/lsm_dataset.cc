@@ -37,7 +37,7 @@ Result<Value> LsmDataset::ExtractKey(const Value& record) const {
 const RecordEntry* LsmDataset::FindEntryLocked(const Value& key) const {
   if (const RecordEntry* e = memtable_.Get(key)) return e;
   for (auto it = components_.rbegin(); it != components_.rend(); ++it) {
-    if (const RecordEntry* e = (*it)->Get(key)) return e;
+    if (const RecordEntry* e = it->Get(key)) return e;
   }
   return nullptr;
 }
@@ -64,7 +64,12 @@ void LsmDataset::IndexRemoveLocked(const Value& record) {
 
 Status LsmDataset::WriteLocked(WalRecordType type, Value record) {
   IDEA_ASSIGN_OR_RETURN(Value key, ExtractKey(record));
-  const RecordEntry* existing = FindEntryLocked(key);
+  // The old version is read by the insert/delete liveness checks and by
+  // index maintenance only, so an upsert into an unindexed dataset skips
+  // the lookup.
+  const RecordEntry* existing = type == WalRecordType::kUpsert && indexes_.empty()
+                                    ? nullptr
+                                    : FindEntryLocked(key);
   bool live = existing != nullptr && !existing->tombstone;
   switch (type) {
     case WalRecordType::kInsert:
@@ -83,12 +88,15 @@ Status LsmDataset::WriteLocked(WalRecordType type, Value record) {
       break;
   }
   if (wal_ != nullptr) {
-    WalRecord wrec;
-    wrec.type = type;
-    wrec.seqno = next_seqno_;
-    wrec.key = key;
-    if (type != WalRecordType::kDelete) wrec.record = record;
-    IDEA_RETURN_NOT_OK(wal_->Append(wrec));
+    // The log only serializes the record: lend it to the WAL record and
+    // take it back rather than copy it.
+    const bool logs_record = type != WalRecordType::kDelete;
+    WalRecord wrec{type, next_seqno_, std::move(key),
+                   logs_record ? std::move(record) : Value()};
+    Status appended = wal_->Append(wrec);
+    key = std::move(wrec.key);
+    if (logs_record) record = std::move(wrec.record);
+    IDEA_RETURN_NOT_OK(appended);
   }
   {
     // Injected crash between the WAL append and the in-memory apply: the
@@ -122,7 +130,7 @@ Status LsmDataset::WriteLocked(WalRecordType type, Value record) {
     IndexInsertLocked(record);
     entry.record = std::move(record);
   }
-  memtable_.Put(key, std::move(entry));
+  memtable_.Put(std::move(key), std::move(entry));
   metrics_.writes->Increment();
   return MaybeFlushLocked();
 }
@@ -166,7 +174,7 @@ std::shared_ptr<const std::vector<Value>> LsmDataset::Scan(uint64_t* seq_out) co
   // Merge oldest -> newest so later versions overwrite.
   std::map<Value, const RecordEntry*> merged;
   for (const auto& comp : components_) {
-    for (const auto& [k, e] : comp->rows()) merged[k] = &e;
+    for (const auto& [k, e] : comp.rows()) merged[k] = &e;
   }
   for (const auto& [k, e] : memtable_.entries()) merged[k] = &e;
   auto out = std::make_shared<std::vector<Value>>();
@@ -226,7 +234,7 @@ Status LsmDataset::CreateIndex(const std::string& index_name, const std::string&
   // Build from existing live records.
   std::map<Value, const RecordEntry*> merged;
   for (const auto& comp : components_) {
-    for (const auto& [k, e] : comp->rows()) merged[k] = &e;
+    for (const auto& [k, e] : comp.rows()) merged[k] = &e;
   }
   for (const auto& [k, e] : memtable_.entries()) merged[k] = &e;
   for (const auto& [k, e] : merged) {
@@ -290,19 +298,22 @@ Status LsmDataset::ProbeIndexMbr(const std::string& field, const adm::Rectangle&
   return Status::OK();
 }
 
-Status LsmDataset::MaybeFlushLocked() {
-  if (memtable_.ApproximateBytes() < options_.memtable_bytes) return Status::OK();
-  IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("lsm.flush"));
+void LsmDataset::FlushLocked() {
   {
     obs::ScopedLatency timer(metrics_.flush_us);
-    components_.push_back(SortedComponent::FromMemTable(next_component_id_++, memtable_));
-    memtable_.Clear();
+    components_.emplace_back(memtable_.TakeEntries());
   }
   ++stats_.flushes;
   metrics_.flushes->Increment();
+}
+
+Status LsmDataset::MaybeFlushLocked() {
+  if (memtable_.ApproximateBytes() < options_.memtable_bytes) return Status::OK();
+  IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("lsm.flush"));
+  FlushLocked();
   if (components_.size() > options_.compaction_threshold) {
     obs::ScopedLatency timer(metrics_.compact_us);
-    auto merged = SortedComponent::Merge(next_component_id_++, components_);
+    SortedComponent merged = SortedComponent::Merge(std::move(components_));
     components_.clear();
     components_.push_back(std::move(merged));
     ++stats_.compactions;
@@ -315,11 +326,7 @@ Status LsmDataset::FlushMemTable() {
   std::unique_lock lock(mu_);
   if (memtable_.empty()) return Status::OK();
   IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("lsm.flush"));
-  obs::ScopedLatency timer(metrics_.flush_us);
-  components_.push_back(SortedComponent::FromMemTable(next_component_id_++, memtable_));
-  memtable_.Clear();
-  ++stats_.flushes;
-  metrics_.flushes->Increment();
+  FlushLocked();
   return Status::OK();
 }
 

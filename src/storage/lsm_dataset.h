@@ -12,7 +12,11 @@
 // of re-scanning the whole dataset per computing-job invocation.
 //
 // Thread safety: all public methods are safe for concurrent use
-// (shared_mutex; writers exclusive, readers shared).
+// (shared_mutex; writers exclusive, readers shared). A memtable flush or
+// full-merge compaction runs inside the write that triggers it, under that
+// write's exclusive hold. Neither copies records: the flush moves the
+// memtable's entries into the new component, and the merge consumes the
+// components it merges.
 #pragma once
 
 #include <atomic>
@@ -161,6 +165,7 @@ class LsmDataset {
   void IndexInsertLocked(const adm::Value& record);
   void IndexRemoveLocked(const adm::Value& record);
   Status MaybeFlushLocked();
+  void FlushLocked();
   Result<adm::Value> ExtractKey(const adm::Value& record) const;
 
   std::string name_;
@@ -170,11 +175,10 @@ class LsmDataset {
 
   mutable std::shared_mutex mu_;
   MemTable memtable_;
-  std::vector<std::shared_ptr<const SortedComponent>> components_;  // oldest first
-  std::unordered_map<std::string, IndexSlot> indexes_;              // by field
+  std::vector<SortedComponent> components_;              // oldest first
+  std::unordered_map<std::string, IndexSlot> indexes_;  // by field
   std::unique_ptr<Wal> wal_;
   uint64_t next_seqno_ = 1;
-  uint64_t next_component_id_ = 1;
   // Bounded changelog ring behind ScanDelta (newest at the back).
   // `changelog_evicted_through_` is the highest seqno dropped off the front;
   // a delta from any base >= that mark is still fully covered by the ring.

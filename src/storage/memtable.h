@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "adm/value.h"
 #include "common/status.h"
@@ -19,19 +21,24 @@ struct RecordEntry {
   adm::Value record;
 };
 
+/// A key with its entry: the row type of sorted LSM runs.
+using KeyedEntry = std::pair<adm::Value, RecordEntry>;
+
 /// Sorted mutable run. Not internally synchronized: LsmDataset guards it.
 class MemTable {
  public:
   /// Inserts or replaces the entry for `key`.
-  void Put(const adm::Value& key, RecordEntry entry);
+  void Put(adm::Value key, RecordEntry entry);
 
   /// nullptr when the key is absent (a tombstone entry is still returned).
   const RecordEntry* Get(const adm::Value& key) const;
 
-  size_t entry_count() const { return entries_.size(); }
   size_t ApproximateBytes() const { return bytes_; }
   bool empty() const { return entries_.empty(); }
-  void Clear();
+
+  /// Moves every entry out in key order (no record is copied) and leaves the
+  /// table empty: the flush path.
+  std::vector<KeyedEntry> TakeEntries();
 
   /// Key-ordered iteration.
   const std::map<adm::Value, RecordEntry>& entries() const { return entries_; }
