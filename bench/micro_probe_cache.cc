@@ -264,7 +264,9 @@ CREATE INDEX pcMonLoc ON PcMonuments(loc) TYPE RTREE;
         // Wide records: a live probe deep-copies every field of every
         // candidate; the residual filter only ever reads `loc`.
         for (int p = 0; p < 32; ++p) {
-          f.emplace_back("p" + std::to_string(p), Value::MakeString(rng.NextAlpha(64)));
+          std::string name = "p";
+          name += std::to_string(p);
+          f.emplace_back(std::move(name), Value::MakeString(rng.NextAlpha(64)));
         }
         Check(ds->Upsert(Value::MakeObject(std::move(f))), "load monument");
       }

@@ -22,7 +22,7 @@ bool ProbeCpuClockUsable() {
   int64_t min_delta = INT64_MAX;
   int distinct = 0;
   for (int k = 0; k < 200000 && distinct < 3; ++k) {
-    for (int i = 0; i < 200; ++i) sink += static_cast<uint64_t>(i);
+    for (int i = 0; i < 200; ++i) sink = sink + static_cast<uint64_t>(i);
     int64_t t = NowNanos(CLOCK_THREAD_CPUTIME_ID);
     if (t != prev) {
       int64_t d = t - prev;

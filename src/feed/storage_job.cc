@@ -1,7 +1,10 @@
 #include "feed/storage_job.h"
 
+#include <algorithm>
 #include <chrono>
+#include <span>
 #include <thread>
+#include <utility>
 
 #include "common/fault_injection.h"
 #include "obs/flight_recorder.h"
@@ -70,13 +73,8 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
         runtime::MemoryGovernor& memgov = cluster_->node(node).memgov();
         const uint64_t salt =
             common::StableHash64(feed_name_) ^ (0x5374ull << 32) ^ p;
-        // Retries or a dead-letter policy need the record again after a
-        // failed attempt; only then pay a copy per attempt (the plain path
-        // keeps the seed's zero-copy move into the LSM).
-        const bool keep_record =
-            config_.max_retries > 0 ||
-            (config_.on_error == OnError::kDeadLetter && dlq_ != nullptr);
         runtime::Frame frame;
+        std::vector<adm::Value> records;  // the frame being stored, decoded
         while (holder->Pop(&frame)) {
           // Liveness probe: the node.kill fault site fires here, modeling the
           // drain's node dying between frames. A dead verdict is NOT a feed
@@ -96,14 +94,12 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
             spills_.fetch_add(1, std::memory_order_relaxed);
             (void)dataset_->FlushMemTable();
           }
-          auto upsert_one = [&](adm::Value& rec) -> Status {
-            Status st;
+          runtime::FrameView view(frame);
+          // Re-attempts a record whose first attempt failed with `st`: up to
+          // max_retries more tries, each hitting storage.apply and upserting
+          // a fresh decode of the record's frame bytes.
+          auto retry = [&](size_t i, Status st) -> Status {
             for (uint32_t attempt = 0;; ++attempt) {
-              st = IDEA_FAULT_HIT("storage.apply");
-              if (st.ok()) {
-                st = dataset_->Upsert(keep_record ? adm::Value(rec)
-                                                  : std::move(rec));
-              }
               if (st.ok() || st.code() == StatusCode::kAborted ||
                   attempt >= config_.max_retries) {
                 return st;
@@ -115,25 +111,66 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
               uint64_t us = common::RetryBackoffMicros(config_.retry_backoff_us,
                                                        attempt, salt);
               if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
+              st = IDEA_FAULT_HIT("storage.apply");
+              if (st.ok()) {
+                Result<adm::Value> rec = view[i].Decode();
+                st = rec.ok() ? dataset_->Upsert(std::move(*rec)) : rec.status();
+              }
             }
           };
           auto store = [&]() -> Status {
-            // Hash partitioner: records are routed to their storage partition
-            // by primary key; partitions share one LSM store in this
-            // simulator, so routing reduces to direct upserts. Records are
-            // materialized one at a time straight off the frame bytes.
-            runtime::FrameView view(frame);
+            // Compute partition p ships to storage holder p, and every drain
+            // writes the one shared dataset: records are not re-routed by
+            // primary key. The frame is decoded once and applied with one
+            // UpsertBatch call (one exclusive lock hold) per run of records
+            // up to the next failure. storage.apply is hit once per record
+            // attempt, first attempts in record order: a run ends at the
+            // first failed hit, and records whose hit already passed when an
+            // earlier record of the run failed keep it for the next run.
             double t0 = obs::NowMicros();
+            records.clear();
+            Status decoded;
             for (size_t i = 0; i < view.size(); ++i) {
-              IDEA_ASSIGN_OR_RETURN(adm::Value rec, view[i].Decode());
-              Status written = upsert_one(rec);
+              Result<adm::Value> rec = view[i].Decode();
+              if (!rec.ok()) {
+                decoded = rec.status();
+                break;
+              }
+              records.push_back(std::move(*rec));
+            }
+            const size_t n = records.size();
+            size_t i = 0;        // next record to store
+            size_t hit_end = 0;  // records [i, hit_end) passed storage.apply
+            Status hit_failed;   // failed hit of record hit_end, if any
+            while (i < n) {
+              while (hit_failed.ok() && hit_end < n) {
+                hit_failed = IDEA_FAULT_HIT("storage.apply");
+                if (hit_failed.ok()) ++hit_end;
+              }
+              size_t applied = 0;
+              Status failed;
+              if (hit_end > i) {
+                failed = dataset_->UpsertBatch(
+                    std::span<adm::Value>(records).subspan(i, hit_end - i), &applied);
+              }
+              stored_.fetch_add(applied, std::memory_order_relaxed);
+              i += applied;
+              if (i == n) break;
+              if (failed.ok()) {
+                // The run ended at record i's failed storage.apply hit.
+                failed = std::exchange(hit_failed, Status::OK());
+              }
+              Status written = retry(i, failed);
+              ++i;
+              hit_end = std::max(hit_end, i);
               if (written.ok()) {
                 stored_.fetch_add(1, std::memory_order_relaxed);
                 continue;
               }
               if (config_.on_error == OnError::kDeadLetter && dlq_ != nullptr) {
-                dlq_->Add(DeadLetter{rec.ToString(), "storage", written,
-                                     config_.max_retries + 1});
+                Result<adm::Value> rec = view[i - 1].Decode();
+                dlq_->Add(DeadLetter{rec.ok() ? rec->ToString() : std::string(),
+                                     "storage", written, config_.max_retries + 1});
                 dead_letters_.fetch_add(1, std::memory_order_relaxed);
               } else if (config_.on_error == OnError::kSkip) {
                 skipped_.fetch_add(1, std::memory_order_relaxed);
@@ -141,6 +178,7 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
                 return written;
               }
             }
+            IDEA_RETURN_NOT_OK(decoded);
             double t1 = obs::NowMicros();
             store_us_->Record(t1 - t0);
             tracer.AddSpan(frame.trace_id(), obs::Span{"storage.store",

@@ -1,10 +1,10 @@
 // Storage job: the long-running tail of the new ingestion framework
 // (Figure 23, bottom). Each node's *active* storage partition holder
-// receives enriched frames from the collocated computing job, pushes them
-// through the hash partitioner (primary-key hashing onto storage
-// partitions), and writes them to the LSM dataset, group-committing the WAL
-// per frame. Drain loops run as long-lived tasks on their node's persistent
-// scheduler.
+// receives enriched frames from the collocated computing job (compute
+// partition p ships to storage holder p), and its drain writes them to the
+// one shared LSM dataset, one UpsertBatch per frame, group-committing the
+// WAL per frame. Drain loops run as long-lived tasks on their node's
+// persistent scheduler.
 //
 // HA additions: partitions are placed by a partition map (pmap) and can be
 // relocated to a surviving node when theirs dies (RelocatePartition — the

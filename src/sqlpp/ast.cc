@@ -143,11 +143,20 @@ std::string Expr::ToString() const {
       return base->ToString() + "." + field;
     case ExprKind::kIndexAccess:
       return base->ToString() + "[" + index->ToString() + "]";
-    case ExprKind::kUnary:
-      return (unary_op == UnaryOp::kNot ? "NOT " : "-") + left->ToString();
-    case ExprKind::kBinary:
-      return "(" + left->ToString() + " " + BinaryOpName(binary_op) + " " +
-             right->ToString() + ")";
+    case ExprKind::kUnary: {
+      std::string s = unary_op == UnaryOp::kNot ? "NOT " : "-";
+      s += left->ToString();
+      return s;
+    }
+    case ExprKind::kBinary: {
+      std::string s = "(";
+      s += left->ToString();
+      s += " ";
+      s += BinaryOpName(binary_op);
+      s += " ";
+      s += right->ToString();
+      return s + ")";
+    }
     case ExprKind::kFunctionCall: {
       std::string s = fn_library.empty() ? fn_name : fn_library + "#" + fn_name;
       s += "(";
@@ -159,20 +168,39 @@ std::string Expr::ToString() const {
     }
     case ExprKind::kCase: {
       std::string s = "CASE";
-      if (case_operand) s += " " + case_operand->ToString();
-      for (const auto& arm : case_arms) {
-        s += " WHEN " + arm.when->ToString() + " THEN " + arm.then->ToString();
+      if (case_operand) {
+        s += " ";
+        s += case_operand->ToString();
       }
-      if (case_else) s += " ELSE " + case_else->ToString();
+      for (const auto& arm : case_arms) {
+        s += " WHEN ";
+        s += arm.when->ToString();
+        s += " THEN ";
+        s += arm.then->ToString();
+      }
+      if (case_else) {
+        s += " ELSE ";
+        s += case_else->ToString();
+      }
       return s + " END";
     }
-    case ExprKind::kSubquery:
-      return "(" + subquery->ToString() + ")";
-    case ExprKind::kExists:
-      return "EXISTS (" + subquery->ToString() + ")";
-    case ExprKind::kIn:
-      return left->ToString() + " IN " +
-             (subquery ? "(" + subquery->ToString() + ")" : right->ToString());
+    case ExprKind::kSubquery: {
+      std::string s = "(";
+      s += subquery->ToString();
+      return s + ")";
+    }
+    case ExprKind::kExists: {
+      std::string s = "EXISTS (";
+      s += subquery->ToString();
+      return s + ")";
+    }
+    case ExprKind::kIn: {
+      std::string s = left->ToString() + " IN ";
+      if (!subquery) return s + right->ToString();
+      s += "(";
+      s += subquery->ToString();
+      return s + ")";
+    }
     case ExprKind::kObjectConstructor: {
       std::string s = "{";
       for (size_t i = 0; i < object_fields.size(); ++i) {
@@ -266,7 +294,8 @@ std::unique_ptr<SelectStatement> SelectStatement::Clone() const {
 std::string SelectStatement::ToString() const {
   std::string s = "SELECT ";
   if (select_value) {
-    s += "VALUE " + select_value->ToString();
+    s += "VALUE ";
+    s += select_value->ToString();
   } else {
     for (size_t i = 0; i < projections.size(); ++i) {
       if (i) s += ", ";
@@ -287,19 +316,28 @@ std::string SelectStatement::ToString() const {
     s += " " + f.alias;
   }
   for (const auto& l : lets) s += " LET " + l.name + " = " + l.expr->ToString();
-  if (where) s += " WHERE " + where->ToString();
+  if (where) {
+    s += " WHERE ";
+    s += where->ToString();
+  }
   for (size_t i = 0; i < group_by.size(); ++i) {
     s += i == 0 ? " GROUP BY " : ", ";
     s += group_by[i].expr->ToString();
     if (!group_by[i].alias.empty()) s += " AS " + group_by[i].alias;
   }
-  if (having) s += " HAVING " + having->ToString();
+  if (having) {
+    s += " HAVING ";
+    s += having->ToString();
+  }
   for (size_t i = 0; i < order_by.size(); ++i) {
     s += i == 0 ? " ORDER BY " : ", ";
     s += order_by[i].expr->ToString();
     if (order_by[i].descending) s += " DESC";
   }
-  if (limit >= 0) s += " LIMIT " + std::to_string(limit);
+  if (limit >= 0) {
+    s += " LIMIT ";
+    s += std::to_string(limit);
+  }
   return s;
 }
 

@@ -14,11 +14,9 @@ namespace idea::storage {
 
 class SortedComponent {
  public:
-  using Row = KeyedEntry;
-
   /// Takes rows that must already be strictly sorted by key (asserted in
   /// debug builds).
-  explicit SortedComponent(std::vector<Row> rows);
+  explicit SortedComponent(std::vector<KeyedEntry> rows);
 
   SortedComponent(SortedComponent&&) = default;
   SortedComponent& operator=(SortedComponent&&) = default;
@@ -33,10 +31,10 @@ class SortedComponent {
   /// Binary-search point lookup; nullptr when absent.
   const RecordEntry* Get(const adm::Value& key) const;
 
-  const std::vector<Row>& rows() const { return rows_; }
+  const std::vector<KeyedEntry>& rows() const { return rows_; }
 
  private:
-  std::vector<Row> rows_;
+  std::vector<KeyedEntry> rows_;
 };
 
 }  // namespace idea::storage

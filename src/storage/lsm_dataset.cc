@@ -149,6 +149,23 @@ Status LsmDataset::Upsert(Value record) {
   return WriteLocked(WalRecordType::kUpsert, std::move(record));
 }
 
+Status LsmDataset::UpsertBatch(std::span<Value> records, size_t* applied) {
+  *applied = 0;
+  size_t valid = 0;
+  Status invalid;
+  for (; valid < records.size(); ++valid) {
+    invalid = datatype_.ValidateAndCoerce(&records[valid]);
+    if (!invalid.ok()) break;
+  }
+  if (valid == 0) return invalid;
+  std::unique_lock lock(mu_);
+  for (; *applied < valid; ++*applied) {
+    ++stats_.upserts;
+    IDEA_RETURN_NOT_OK(WriteLocked(WalRecordType::kUpsert, std::move(records[*applied])));
+  }
+  return invalid;
+}
+
 Status LsmDataset::Delete(const Value& key) {
   std::unique_lock lock(mu_);
   ++stats_.deletes;

@@ -12,17 +12,20 @@
 // of re-scanning the whole dataset per computing-job invocation.
 //
 // Thread safety: all public methods are safe for concurrent use
-// (shared_mutex; writers exclusive, readers shared). A memtable flush or
-// full-merge compaction runs inside the write that triggers it, under that
-// write's exclusive hold. Neither copies records: the flush moves the
-// memtable's entries into the new component, and the merge consumes the
-// components it merges.
+// (shared_mutex; writers exclusive, readers shared). UpsertBatch validates
+// and coerces its records before taking the lock, then applies the whole
+// batch under one exclusive hold, so a reader sees none or all of the
+// records it applied. A memtable flush or full-merge compaction runs inside
+// the write that triggers it, under that write's exclusive hold. Neither
+// copies records: the flush moves the memtable's entries into the new
+// component, and the merge consumes the components it merges.
 #pragma once
 
 #include <atomic>
 #include <deque>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -90,6 +93,13 @@ class LsmDataset {
 
   /// Insert-or-replace (the paper's UPSERT).
   Status Upsert(adm::Value record);
+
+  /// Upserts `records` in order under one exclusive lock hold, validating
+  /// them before the lock is taken. Stops at the first record that fails
+  /// validation or its write and returns that status; `*applied` receives
+  /// the number of records stored before it (all of them on success). The
+  /// records are consumed: on return their contents are unspecified.
+  Status UpsertBatch(std::span<adm::Value> records, size_t* applied);
 
   /// Deletes by primary key; NotFound when absent.
   Status Delete(const adm::Value& key);

@@ -81,7 +81,9 @@ Value RandomValue(Rng* rng, int depth = 0) {
     Fields fields;
     size_t n = rng->NextBelow(5);
     for (size_t i = 0; i < n; ++i) {
-      fields.emplace_back("k" + std::to_string(i), RandomValue(rng, depth + 1));
+      std::string name = "k";
+      name += std::to_string(i);
+      fields.emplace_back(std::move(name), RandomValue(rng, depth + 1));
     }
     return Value::MakeObject(std::move(fields));
   }

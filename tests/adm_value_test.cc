@@ -107,7 +107,9 @@ Value RandomValue(Rng* rng, int depth) {
     Fields fields;
     size_t n = rng->NextBelow(4);
     for (size_t i = 0; i < n; ++i) {
-      fields.emplace_back("f" + std::to_string(i), RandomValue(rng, depth + 1));
+      std::string name = "f";
+      name += std::to_string(i);
+      fields.emplace_back(std::move(name), RandomValue(rng, depth + 1));
     }
     return Value::MakeObject(std::move(fields));
   }

@@ -199,7 +199,7 @@ TEST(TimersTest, MeasurePositiveTime) {
   ThreadCpuTimer cpu;
   cpu.Start();
   volatile uint64_t x = 0;
-  for (int i = 0; i < 2000000; ++i) x += static_cast<uint64_t>(i);
+  for (int i = 0; i < 2000000; ++i) x = x + static_cast<uint64_t>(i);
   EXPECT_GT(cpu.ElapsedMicros(), 0.0);
   WallTimer wall;
   wall.Start();

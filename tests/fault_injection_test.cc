@@ -125,16 +125,18 @@ TEST_F(FaultInjectionTest, KeyedDecisionsAreStableUnderConcurrency) {
   FaultInjector::Default().Arm("fi.conc", FaultSpec::Probability(0.1));
   std::set<int> baseline;
   for (int i = 0; i < 300; ++i) {
-    if (!IDEA_FAULT_HIT_KEYED("fi.conc", "k" + std::to_string(i)).ok()) {
-      baseline.insert(i);
-    }
+    std::string key = "k";
+    key += std::to_string(i);
+    if (!IDEA_FAULT_HIT_KEYED("fi.conc", key).ok()) baseline.insert(i);
   }
   std::vector<std::set<int>> per_thread(4);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < per_thread.size(); ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 300; ++i) {
-        if (!IDEA_FAULT_HIT_KEYED("fi.conc", "k" + std::to_string(i)).ok()) {
+        std::string key = "k";
+        key += std::to_string(i);
+        if (!IDEA_FAULT_HIT_KEYED("fi.conc", key).ok()) {
           per_thread[t].insert(i);
         }
       }

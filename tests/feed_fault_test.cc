@@ -253,6 +253,89 @@ TEST_F(FeedFaultTest, StorageRetriesRecoverTransientApplyFaults) {
   EXPECT_EQ(env.catalog.FindDataset("Tweets")->LiveRecordCount(), 300u);
 }
 
+/// A write that fails inside a frame's lock hold (the storage drain applies a
+/// frame with one UpsertBatch call) leaves the policy path to that record
+/// alone. Nth(7) lands mid-frame: a frame carries one compute partition's
+/// ~20-record share of a 60-record batch. So a live count one short of the
+/// input means the records after the failing one in its frame were stored.
+/// storage.apply, armed to count without firing, must still be hit exactly
+/// once per record attempt.
+TEST_F(FeedFaultTest, WriteFaultInsideAFrameAffectsOnlyThatRecord) {
+  struct Case {
+    const char* point;
+    OnError on_error;
+    uint32_t max_retries;
+  };
+  const Case cases[] = {
+      {"wal.append", OnError::kSkip, 0},     {"wal.append", OnError::kDeadLetter, 2},
+      {"wal.append", OnError::kDeadLetter, 0}, {"lsm.apply", OnError::kSkip, 0},
+      {"lsm.apply", OnError::kDeadLetter, 2}, {"lsm.apply", OnError::kDeadLetter, 0},
+  };
+  constexpr size_t kTweets = 300;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.point) + (c.on_error == OnError::kSkip ? " skip" : " dlq") +
+                 " retries=" + std::to_string(c.max_retries));
+    PipelineEnv env;
+    FaultInjector::Default().Arm(c.point, FaultSpec::Nth(7));
+    FaultInjector::Default().Arm("storage.apply", FaultSpec::Probability(0.0));
+
+    ActiveFeedManager::StartArgs args;
+    args.config.name = "F";
+    args.config.type_name = "TweetType";
+    args.config.batch_size = 60;
+    args.config.on_error = c.on_error;
+    args.config.max_retries = c.max_retries;
+    args.config.retry_backoff_us = 10;
+    args.connection.dataset = "Tweets";
+    auto tweets = MakeTweets(kTweets);
+    args.adapter_factory = MakeVectorAdapterFactory(tweets);
+    ASSERT_TRUE(env.afm->StartFeed(std::move(args)).ok());
+    auto stats = env.afm->WaitForFeedStats("F");
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    FaultInjector::Default().DisarmAll();
+    EXPECT_EQ(FaultInjector::Default().GetStats("storage.apply").hits,
+              kTweets + stats->retries);
+    auto dataset = env.catalog.FindDataset("Tweets");
+    auto dlq = env.afm->dead_letter_queue("F");
+
+    if (c.max_retries > 0) {
+      // The fault fires once, so the first retry stores the record.
+      EXPECT_EQ(stats->records_ingested, kTweets);
+      EXPECT_EQ(stats->records_skipped, 0u);
+      EXPECT_EQ(stats->retries, 1u);
+      ASSERT_NE(dlq, nullptr);
+      EXPECT_EQ(dlq->depth(), 0u);
+      EXPECT_EQ(dataset->LiveRecordCount(), kTweets);
+      continue;
+    }
+    EXPECT_EQ(stats->records_ingested, kTweets - 1);
+    EXPECT_EQ(stats->retries, 0u);
+    EXPECT_EQ(dataset->LiveRecordCount(), kTweets - 1);
+    // Exactly one tweet is missing; under dead-letter it is the one letter.
+    std::vector<int64_t> missing;
+    for (size_t i = 0; i < kTweets; ++i) {
+      if (!dataset->Get(Value::MakeInt(static_cast<int64_t>(i))).ok()) {
+        missing.push_back(static_cast<int64_t>(i));
+      }
+    }
+    ASSERT_EQ(missing.size(), 1u);
+    if (c.on_error == OnError::kSkip) {
+      EXPECT_EQ(stats->records_skipped, 1u);
+      continue;
+    }
+    EXPECT_EQ(stats->records_skipped, 0u);
+    EXPECT_EQ(stats->dead_letters, 1u);
+    ASSERT_NE(dlq, nullptr);
+    std::vector<DeadLetter> letters = dlq->Drain();
+    ASSERT_EQ(letters.size(), 1u);
+    EXPECT_EQ(letters[0].stage, "storage");
+    EXPECT_EQ(letters[0].attempts, 1u);
+    auto parsed = adm::ParseJson((*tweets)[static_cast<size_t>(missing[0])]);
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(letters[0].raw, parsed->ToString());
+  }
+}
+
 /// The PR's headline acceptance scenario: 1% of parses fail deterministically
 /// and every 50th UDF evaluation fails transiently; under
 /// `on_error: dead-letter, max_retries: 2` the feed survives, accounts for

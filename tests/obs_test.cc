@@ -270,9 +270,11 @@ TEST(FlightRecorderTest, ConcurrentRecordersKeepCapacityBound) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&recorder, t] {
+      std::string scope = "p";
+      scope += std::to_string(t);
       for (int i = 0; i < kEvents; ++i) {
-        recorder.Record(FlightEventKind::kFaultFire, "p" + std::to_string(t),
-                        "", t, static_cast<uint64_t>(i));
+        recorder.Record(FlightEventKind::kFaultFire, scope, "", t,
+                        static_cast<uint64_t>(i));
       }
     });
   }

@@ -2,7 +2,8 @@
 # Builds the tree under ThreadSanitizer and runs the concurrency-heavy test
 # binaries (runtime holders/executor, the worker-pool scheduler, the three-job
 # feed pipeline, the fault-injection machinery, the observability primitives,
-# and the admin server / sampler / flight-recorder telemetry plane). Usage:
+# the admin server / sampler / flight-recorder telemetry plane, and the LSM
+# dataset's batched writers against its readers). Usage:
 #
 #   tests/run_tsan.sh [build-dir [test-binary...]]
 #
@@ -19,7 +20,7 @@ TESTS=("$@")
 if [ ${#TESTS[@]} -eq 0 ]; then
   TESTS=(runtime_test scheduler_test feed_pipeline_test obs_test
          admin_server_test sqlpp_delta_refresh_test fault_injection_test
-         feed_fault_test cluster_ha_test)
+         feed_fault_test cluster_ha_test storage_lsm_test)
 fi
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DIDEA_SANITIZE=thread \
