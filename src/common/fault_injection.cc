@@ -1,5 +1,6 @@
 #include "common/fault_injection.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -43,17 +44,29 @@ Result<StatusCode> CodeFromName(const std::string& name) {
 
 using fault_internal::kFastTlsSlots;
 using fault_internal::kOrdinalBlock;
+using fault_internal::kTagLeftMask;
 using fault_internal::t_fast_blocks;
+using fault_internal::t_fast_tags;
 using fault_internal::TlsOrdinalBlock;
 
-/// Spillover block table for points registered past the flat TLS array.
-thread_local std::vector<TlsOrdinalBlock> t_overflow_blocks;
+/// A point's thread-local grant tag and ordinal block.
+struct TlsOrdinalState {
+  uint64_t& tag;
+  TlsOrdinalBlock& block;
+};
 
-TlsOrdinalBlock& OrdinalBlockForSlot(uint32_t slot) {
-  if (slot < kFastTlsSlots) return t_fast_blocks[slot];
+/// Spillover tables for points registered past the flat TLS arrays.
+struct OverflowEntry {
+  uint64_t tag = 0;
+  TlsOrdinalBlock block;
+};
+thread_local std::vector<OverflowEntry> t_overflow_blocks;
+
+TlsOrdinalState OrdinalStateForSlot(uint32_t slot) {
+  if (slot < kFastTlsSlots) return {t_fast_tags[slot], t_fast_blocks[slot]};
   const uint32_t i = slot - kFastTlsSlots;
   if (t_overflow_blocks.size() <= i) t_overflow_blocks.resize(i + 1);
-  return t_overflow_blocks[i];
+  return {t_overflow_blocks[i].tag, t_overflow_blocks[i].block};
 }
 
 std::atomic<uint32_t> g_thread_counter{0};
@@ -94,26 +107,49 @@ uint64_t FaultPoint::hits() const {
 }
 
 uint64_t FaultPoint::NextOrdinal() {
-  TlsOrdinalBlock& block = OrdinalBlockForSlot(tls_slot_);
+  auto [tag, block] = OrdinalStateForSlot(tls_slot_);
   const uint32_t epoch = epoch_.load(std::memory_order_relaxed);
-  if (block.epoch != epoch || block.next == block.end) {
-    if (block.epoch == epoch && block.next > block.start) {
+  const bool current = (tag >> 32) == epoch;
+  // Last ordinal handed out: the grant's limit minus what is left of it.
+  uint64_t last = block.limit - (tag & kTagLeftMask);
+  if (!current || last == block.start + kOrdinalBlock) {
+    if (current && last > block.start) {
       // Retire the exhausted block's consumed count into the striped stats.
       // (A block from a stale epoch predates the last counter reset and is
       // dropped — its hits were already zeroed.)
       stat_shards_[ThisThreadStatShard()].hits.fetch_add(
-          block.next - block.start, std::memory_order_relaxed);
+          last - block.start, std::memory_order_relaxed);
     }
-    block.epoch = epoch;
-    block.start = block.next =
-        ordinal_.fetch_add(kOrdinalBlock, std::memory_order_relaxed);
-    block.end = block.start + kOrdinalBlock;
+    block.start = last = ordinal_.fetch_add(kOrdinalBlock, std::memory_order_relaxed);
   }
-  return ++block.next;  // 1-based
+  const uint64_t ordinal = last + 1;  // 1-based
+  block.limit = QuietUntil(ordinal, block.start + kOrdinalBlock);
+  tag = (uint64_t{epoch} << 32) | (block.limit - ordinal);
+  return ordinal;
+}
+
+uint64_t FaultPoint::QuietUntil(uint64_t ordinal, uint64_t end) const {
+  const uint64_t n = spec_.nth;
+  switch (spec_.trigger) {
+    case FaultSpec::Trigger::kNth:
+      return n > ordinal && n <= end ? n - 1 : end;
+    case FaultSpec::Trigger::kEveryNth: {
+      if (n == 0) return end;
+      const uint64_t next_fire = ordinal - ordinal % n + n;
+      return next_fire <= end ? next_fire - 1 : end;
+    }
+    case FaultSpec::Trigger::kAlways:
+    case FaultSpec::Trigger::kProbability:
+      break;
+  }
+  return ordinal;
 }
 
 void FaultPoint::ResetCountersLocked() {
-  epoch_.fetch_add(1, std::memory_order_relaxed);
+  // Never 0: fresh thread-local tags carry a zero epoch, and must not match
+  // an armed point.
+  const uint32_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
+  epoch_.store(epoch == 0 ? 1 : epoch, std::memory_order_relaxed);
   ordinal_.store(0, std::memory_order_relaxed);
   fires_.store(0, std::memory_order_relaxed);
   for (StatShard& s : stat_shards_) {
@@ -141,9 +177,11 @@ Status FaultPoint::FireSlow(std::string_view payload) {
     case FaultSpec::Trigger::kNth:
       fire = NextOrdinal() == spec_.nth;
       break;
-    case FaultSpec::Trigger::kEveryNth:
-      fire = spec_.nth > 0 && NextOrdinal() % spec_.nth == 0;
+    case FaultSpec::Trigger::kEveryNth: {
+      const uint64_t ordinal = NextOrdinal();
+      fire = spec_.nth > 0 && ordinal % spec_.nth == 0;
       break;
+    }
     case FaultSpec::Trigger::kProbability:
       count_hit();
       if (!payload.empty()) {
@@ -190,6 +228,7 @@ FaultPoint* FaultInjector::RegisterPoint(std::string_view name) {
   auto* point = new FaultPoint(std::string(name));  // process-lifetime
   point->seed_ = seed_ ^ StableHash64(point->name());
   point->tls_slot_ = g_next_tls_slot.fetch_add(1, std::memory_order_relaxed);
+  point->fast_slot_ = std::min(point->tls_slot_, kFastTlsSlots);
   points_.emplace(point->name(), point);
   return point;
 }
@@ -199,7 +238,7 @@ void FaultInjector::Arm(const std::string& point, FaultSpec spec) {
   std::lock_guard<std::mutex> lock(mu_);
   // Quiesce the point before rewriting its spec: Fire() reads spec_/seed_
   // without a lock, guarded only by the armed flag.
-  bool was_armed = p->armed_.exchange(false, std::memory_order_acq_rel);
+  bool was_armed = p->armed_tag_.exchange(0, std::memory_order_acq_rel) != 0;
   {
     std::lock_guard<std::mutex> plock(p->mu_);
     p->spec_ = spec;
@@ -208,14 +247,14 @@ void FaultInjector::Arm(const std::string& point, FaultSpec spec) {
     p->ResetCountersLocked();
   }
   if (!was_armed) armed_count_.fetch_add(1, std::memory_order_relaxed);
-  p->armed_.store(true, std::memory_order_release);
+  p->armed_tag_.store(p->ArmedTag(), std::memory_order_release);
 }
 
 void FaultInjector::Disarm(const std::string& point) {
   std::lock_guard<std::mutex> lock(mu_);
   FaultPoint* p = FindLocked(point);
   if (p == nullptr) return;
-  if (p->armed_.exchange(false, std::memory_order_acq_rel)) {
+  if (p->armed_tag_.exchange(0, std::memory_order_acq_rel) != 0) {
     armed_count_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
@@ -223,7 +262,7 @@ void FaultInjector::Disarm(const std::string& point) {
 void FaultInjector::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, p] : points_) {
-    if (p->armed_.exchange(false, std::memory_order_acq_rel)) {
+    if (p->armed_tag_.exchange(0, std::memory_order_acq_rel) != 0) {
       armed_count_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
@@ -233,14 +272,16 @@ void FaultInjector::Reseed(uint64_t seed) {
   std::lock_guard<std::mutex> lock(mu_);
   seed_ = seed;
   for (auto& [name, p] : points_) {
-    bool was_armed = p->armed_.exchange(false, std::memory_order_acq_rel);
+    bool was_armed = p->armed_tag_.exchange(0, std::memory_order_acq_rel) != 0;
     {
       std::lock_guard<std::mutex> plock(p->mu_);
       p->seed_ = seed ^ StableHash64(p->name());
       p->rng_ = Rng(p->seed_);
       p->ResetCountersLocked();
     }
-    if (was_armed) p->armed_.store(true, std::memory_order_release);
+    if (was_armed) {
+      p->armed_tag_.store(p->ArmedTag(), std::memory_order_release);
+    }
   }
 }
 

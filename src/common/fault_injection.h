@@ -115,12 +115,19 @@ namespace fault_internal {
 /// counting triggers (nth / every-nth). Threads reserve small blocks from the
 /// point's shared dispenser so the contended fetch_add happens once per
 /// kOrdinalBlock hits; the inline armed fast path only ever touches the
-/// thread's own block.
+/// thread's own grant tag.
+///
+/// The block covers ordinals (start, start + kOrdinalBlock]. Each trip
+/// through the out-of-line path hands out one ordinal, decides whether it
+/// fires, and grants the inline path the run of ordinals up to `limit`, all
+/// of which are known not to fire. The grant itself is the block's *tag*,
+/// kept apart from the block: it packs the arming epoch the grant belongs to
+/// (high half) with how many of the granted ordinals are left (low half), so
+/// one subtract-and-compare both validates the grant and checks that it is
+/// not used up.
 struct TlsOrdinalBlock {
   uint64_t start = 0;
-  uint64_t next = 0;
-  uint64_t end = 0;
-  uint32_t epoch = 0;
+  uint64_t limit = 0;
 };
 
 /// How many ordinals a thread reserves per trip to the shared dispenser.
@@ -128,11 +135,19 @@ struct TlsOrdinalBlock {
 /// when it exits mid-block, large enough to amortize the shared RMW away.
 inline constexpr uint64_t kOrdinalBlock = 64;
 
-/// Per-thread block table, indexed by FaultPoint::tls_slot_ (registration
-/// order, process-global). The first slots live in a flat thread_local array
-/// — one indexed load on the armed hot path, no vector indirection — with a
-/// vector spillover (in the .cc) for processes registering more points.
+/// Low half of a tag: granted ordinals the inline path may still take.
+inline constexpr uint64_t kTagLeftMask = 0xffffffffull;
+
+/// Per-thread tag and block tables, indexed by FaultPoint::tls_slot_
+/// (registration order, process-global). The first slots live in flat
+/// thread_local arrays — one indexed load on the armed hot path, no vector
+/// indirection — with a vector spillover (in the .cc) for processes
+/// registering more points. The inline path reads only the tags, eight
+/// bytes a point, so the points one record crosses share a cache line or
+/// two. The extra last tag is never written: points in the spillover aim
+/// their inline path at it, and its zero epoch never matches an armed point.
 inline constexpr uint32_t kFastTlsSlots = 128;
+alignas(64) inline thread_local uint64_t t_fast_tags[kFastTlsSlots + 1];
 inline thread_local TlsOrdinalBlock t_fast_blocks[kFastTlsSlots];
 
 }  // namespace fault_internal
@@ -153,8 +168,28 @@ class FaultPoint {
   FaultPoint& operator=(const FaultPoint&) = delete;
 
   const std::string& name() const { return name_; }
-  /// Hot-path guard: one relaxed atomic load.
-  bool armed() const { return armed_.load(std::memory_order_relaxed); }
+  /// True while the point is armed: one relaxed atomic load.
+  bool armed() const { return armed_tag_.load(std::memory_order_relaxed) != 0; }
+
+  /// One hit from an IDEA_FAULT_HIT site: free while disarmed (the guard
+  /// load), otherwise records the hit and applies the armed spec. Returns
+  /// the injected error when the hit fires (OK for delay-only faults, after
+  /// sleeping). `payload` keys probability decisions as in FireKeyed.
+  ///
+  /// The branch hints are a code-layout choice, not a claim that points are
+  /// usually armed: they keep the few instructions of the armed fast path
+  /// inline at the call site, where a disarmed hit jumps over them. Laid out
+  /// the other way, every armed-but-idle hit jumped to its own out-of-line
+  /// block, an extra instruction-cache line per call site that the record
+  /// path paid for on every record.
+  Status Hit(std::string_view payload = std::string_view()) {
+    const uint64_t armed = armed_tag_.load(std::memory_order_relaxed);
+    if (armed != 0) [[likely]] {
+      if (FastHit(armed)) [[likely]] return Status::OK();
+      return FireSlow(payload);
+    }
+    return Status::OK();
+  }
 
   /// Records a hit and applies the armed spec. Returns the injected error
   /// when the hit fires (OK for delay-only faults, after sleeping).
@@ -163,29 +198,9 @@ class FaultPoint {
   /// Like Fire(), but probability triggers decide by hashing seed ^ payload
   /// instead of consuming the shared RNG stream — deterministic per payload
   /// under concurrency.
-  ///
-  /// Inlined fast path: an armed counting trigger (nth / every-nth) whose
-  /// hit does not fire and whose thread still holds ordinals in its block —
-  /// the overwhelmingly common case for an armed-but-idle point — costs one
-  /// branch and a thread-local increment, with every shared field read off
-  /// the same cache line as the armed_ guard. Everything else (block refill,
-  /// always/probability triggers, actual fires) takes the out-of-line path.
   Status FireKeyed(std::string_view payload) {
-    const FaultSpec::Trigger trig = spec_.trigger;
-    if ((trig == FaultSpec::Trigger::kNth ||
-         trig == FaultSpec::Trigger::kEveryNth) &&
-        tls_slot_ < fault_internal::kFastTlsSlots) {
-      fault_internal::TlsOrdinalBlock& block =
-          fault_internal::t_fast_blocks[tls_slot_];
-      if (block.epoch == epoch_.load(std::memory_order_relaxed) &&
-          block.next != block.end) {
-        const uint64_t ordinal = ++block.next;  // 1-based
-        const bool fire = trig == FaultSpec::Trigger::kNth
-                              ? ordinal == spec_.nth
-                              : spec_.nth > 0 && ordinal % spec_.nth == 0;
-        return fire ? Fired() : Status::OK();
-      }
-    }
+    const uint64_t armed = armed_tag_.load(std::memory_order_relaxed);
+    if (armed != 0 && FastHit(armed)) return Status::OK();
     return FireSlow(payload);
   }
 
@@ -203,30 +218,56 @@ class FaultPoint {
     std::atomic<uint64_t> hits{0};
   };
 
-  /// Out-of-line remainder of FireKeyed: always/probability triggers, and
-  /// counting triggers whose thread-local block needs a refill.
+  /// Inline fast path of an armed hit: an armed counting trigger (nth /
+  /// every-nth) whose thread still holds a granted run of non-firing
+  /// ordinals — the overwhelmingly common case for an armed-but-idle point —
+  /// takes one and is done: a thread-local load, one compare and a store.
+  /// Everything else (block refill, the next ordinal that may fire,
+  /// always/probability triggers) returns false for the out-of-line path.
+  bool FastHit(uint64_t armed) {
+    uint64_t& tag = fault_internal::t_fast_tags[fast_slot_];
+    // `armed` is (epoch << 32) | 1, so the difference is below the mask
+    // exactly when the grant belongs to the current arming and at least one
+    // granted ordinal is left.
+    if (tag - armed >= fault_internal::kTagLeftMask) return false;
+    tag = tag - 1;
+    return true;
+  }
+
+  /// Out-of-line remainder of a hit: always/probability triggers, and
+  /// counting triggers whose thread-local grant is used up.
   Status FireSlow(std::string_view payload);
   /// Applies the armed spec to a firing hit: max_fires cap, delay, status.
   Status Fired();
 
   /// Next 1-based hit ordinal for the counting triggers (kNth/kEveryNth),
-  /// refilling the thread's block from the shared dispenser when exhausted.
+  /// refilling the thread's block from the shared dispenser when exhausted,
+  /// and granting the inline path the following ordinals that cannot fire.
   /// Every ordinal is handed out exactly once, which keeps "the nth hit
   /// fires once" exact; ordering across threads is approximate, and on a
   /// single thread ordinals are the familiar 1, 2, 3, ...
   uint64_t NextOrdinal();
+  /// The largest L in [ordinal, end] such that no ordinal in (ordinal, L]
+  /// fires under spec_: the run the inline path may take after `ordinal`.
+  uint64_t QuietUntil(uint64_t ordinal, uint64_t end) const;
+  /// armed_tag_ value for the current epoch: a grant tag with one ordinal
+  /// left.
+  uint64_t ArmedTag() const {
+    return (uint64_t{epoch_.load(std::memory_order_relaxed)} << 32) | 1;
+  }
   /// Zeroes hits/fires/ordinals and invalidates outstanding thread-local
   /// ordinal blocks (via the epoch). Called under mu_ while disarmed.
   void ResetCountersLocked();
 
-  // Hot line: everything an armed-but-idle hit reads — the guard, the
-  // trigger spec, the thread-local-block slot, and (for the counting
-  // triggers) the block-invalidation epoch — shares the cache line the
-  // disarmed path already loads, so arming a point adds no cache-line
-  // traffic beyond the thread's own ordinal block. spec_ and seed_ are
-  // written only while disarmed (Arm/Reseed flip armed_ off around the
-  // write), so Fire() reads them without the mutex.
-  std::atomic<bool> armed_{false};
+  // Hot line: everything an armed-but-idle hit reads — the guard, which is
+  // also the arming epoch its thread-local grant is checked against, and the
+  // thread-local-block slot — shares the cache line the disarmed path
+  // already loads, so arming a point adds no cache-line traffic beyond the
+  // thread's own grant tags. spec_ and seed_ are written only while
+  // disarmed (Arm/Reseed clear armed_tag_ around the write), so hits read them
+  // without the mutex.
+  std::atomic<uint64_t> armed_tag_{0};  // 0 = disarmed, else (epoch << 32) | 1
+  uint32_t fast_slot_ = fault_internal::kFastTlsSlots;  // t_fast_tags index
   uint32_t tls_slot_ = 0;           // index into the per-thread block table
   std::atomic<uint32_t> epoch_{0};  // bumped on Arm/Reseed to drop old blocks
   FaultSpec spec_;
@@ -315,7 +356,7 @@ class FaultInjector {
   ([]() -> ::idea::Status {                                                 \
     static ::idea::common::FaultPoint* _idea_fp =                           \
         ::idea::common::FaultInjector::Default().RegisterPoint(name);       \
-    return _idea_fp->armed() ? _idea_fp->Fire() : ::idea::Status::OK();     \
+    return _idea_fp->Hit();                                                 \
   }())
 
 /// Keyed variant: probability triggers decide per `payload` (deterministic
@@ -324,6 +365,5 @@ class FaultInjector {
   ([](::std::string_view _idea_key) -> ::idea::Status {                     \
     static ::idea::common::FaultPoint* _idea_fp =                           \
         ::idea::common::FaultInjector::Default().RegisterPoint(name);       \
-    return _idea_fp->armed() ? _idea_fp->FireKeyed(_idea_key)               \
-                             : ::idea::Status::OK();                        \
+    return _idea_fp->Hit(_idea_key);                                        \
   }(payload))

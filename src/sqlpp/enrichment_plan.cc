@@ -44,10 +44,11 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
   std::string dataset;
   std::string ref_field;             // key/geometry field of the reference dataset
   const Expr* probe_expr = nullptr;  // borrowed from the plan-owned body AST
-  /// The WHERE equality conjunct a hash build+probe selects candidates by.
-  /// Candidate selection (Value::Compare on a non-unknown probe key against
-  /// build keys that skip unknowns) is exactly the conjunct's `=` semantics,
-  /// so the evaluator may treat it as true for every emitted candidate.
+  /// The WHERE equality conjunct a hash build+probe or a B-tree index probe
+  /// selects candidates by. Candidate selection (Value::Compare on a
+  /// non-unknown probe key against build keys, or index keys, that skip
+  /// unknowns) is exactly the conjunct's `=` semantics, so the evaluator may
+  /// treat it as true for every emitted candidate.
   const Expr* satisfied_conjunct = nullptr;
   /// Spatial probes matched from spatial_intersect(create_circle(ref.field, R),
   /// <outer>) expand the outer geometry's MBR by R before the R-tree search.
@@ -395,7 +396,10 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
   }
 
   const Expr* SatisfiedConjunct() const override {
-    return kind == AccessPathKind::kHashBuildProbe ? satisfied_conjunct : nullptr;
+    return kind == AccessPathKind::kHashBuildProbe ||
+                   kind == AccessPathKind::kIndexNestedLoopEq
+               ? satisfied_conjunct
+               : nullptr;
   }
 
   std::string Describe() const override {
@@ -485,7 +489,7 @@ struct PlannedPath {
   AccessPathKind kind;
   std::string field;
   const Expr* probe;
-  const Expr* conjunct;  // hash-probe-satisfied WHERE conjunct (else nullptr)
+  const Expr* conjunct;  // equality-probe-satisfied WHERE conjunct (else nullptr)
   double expand;
 };
 
@@ -616,7 +620,7 @@ struct Planner {
                        (config->prefer_index || fc.hints.force_index);
       kind = use_index ? AccessPathKind::kIndexNestedLoopEq
                        : AccessPathKind::kHashBuildProbe;
-      if (kind == AccessPathKind::kHashBuildProbe) conjunct = m.conjunct;
+      conjunct = m.conjunct;
     } else if (m.found && m.spatial) {
       auto idx = datasets->GetIndexProbe(fc.dataset, m.field);
       if (idx != nullptr && idx->kind() == IndexProbe::Kind::kSpatial &&

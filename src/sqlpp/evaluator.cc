@@ -609,8 +609,9 @@ void Evaluator::PinInvariantWhereSubexprs(const SelectStatement& q, Env* env) {
 }
 
 Result<Value> Evaluator::EvalWhereResidual(const Expr& e, Env* env) {
-  // A conjunct the current access path guarantees (hash build+probe selected
-  // the candidate by this exact equality) evaluates to true by construction.
+  // A conjunct the current access path guarantees (a hash build+probe or a
+  // B-tree index probe selected the candidate by this exact equality)
+  // evaluates to true by construction.
   for (const SatisfiedConjunct& s : satisfied_) {
     if (s.expr == &e && s.depth == depth_) return Value::MakeBool(true);
   }

@@ -170,7 +170,8 @@ class FromAccessPath {
   virtual Status GetCandidates(Evaluator* ev, Env* env,
                                std::vector<const adm::Value*>* out) = 0;
   /// A WHERE conjunct that is guaranteed true for every candidate this path
-  /// emits (e.g. the equality a hash build+probe selected candidates by), or
+  /// emits (e.g. the equality a hash build+probe or a B-tree index probe
+  /// selected candidates by), or
   /// nullptr. The evaluator skips re-evaluating it in the residual predicate.
   /// Only valid for paths whose candidate selection is exactly the conjunct's
   /// semantics — a superset prefilter (spatial MBR) must return nullptr.

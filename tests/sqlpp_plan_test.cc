@@ -286,6 +286,73 @@ TEST_F(PlanTest, IndexProbeSeesLiveUpdatesMidJob) {
   EXPECT_EQ(after->GetField("nearby_monuments")->AsArray().size(), n_before + 1);
 }
 
+TEST_F(PlanTest, BtreeIndexPathSkipsItsEqualityConjunctBitIdentically) {
+  // The B-tree probe selects candidates by Value::Compare equality, the `=`
+  // conjunct's own semantics, so the index path treats that conjunct as
+  // satisfied. Mixed numeric types, a string key, unknown keys on both sides
+  // and a second conjunct over a sometimes-missing field must come out
+  // exactly as a full scan that evaluates the conjunct per candidate.
+  ASSERT_TRUE(catalog_.CreateDatatype(adm::Datatype(
+                  "KRefType", {{"rid", adm::FieldType::kInt64, false}})).ok());
+  ASSERT_TRUE(catalog_.CreateDataset("KRef", "KRefType", "rid").ok());
+  auto ds = catalog_.FindDataset("KRef");
+  ASSERT_TRUE(ds->CreateIndex("kRefK", "k", "btree").ok());
+  const char* const kRows[] = {
+      R"({"rid": 0, "k": 1, "v": 3})",      R"({"rid": 1, "k": 1.0, "v": 0})",
+      R"({"rid": 2, "k": 1, "v": -2})",     R"({"rid": 3, "k": 1})",
+      R"({"rid": 4, "k": "1", "v": 5})",    R"({"rid": 5, "k": null, "v": 1})",
+      R"({"rid": 6, "v": 1})",              R"({"rid": 7, "k": 2.5, "v": 9})",
+      R"({"rid": 8, "k": 2, "v": 4})",      R"({"rid": 9, "k": 1, "v": 7})"};
+  for (const char* row : kRows) {
+    ASSERT_TRUE(ds->Upsert(adm::ParseJson(row).value()).ok()) << row;
+  }
+
+  const std::string body = R"(
+  LET hits = (SELECT VALUE r.rid FROM KRef %s r
+              WHERE r.k = t.k AND r.v >= 0 ORDER BY r.rid)
+  SELECT t.*, hits
+};
+)";
+  auto make_def = [&](const std::string& name, const std::string& hint) {
+    std::string ddl = "CREATE FUNCTION " + name + "(t) {" + body;
+    ddl.replace(ddl.find("%s"), 2, hint);
+    return ParseFn(ddl);
+  };
+  auto indexed = EnrichmentPlan::Compile(make_def("kProbe", ""), &accessor_, &resolver_);
+  auto scanned = EnrichmentPlan::Compile(make_def("kProbeScan", "/*+ skip-index */"),
+                                         &accessor_, &resolver_);
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  ASSERT_EQ((*indexed)->choices()[0].kind, AccessPathKind::kIndexNestedLoopEq);
+  ASSERT_EQ((*scanned)->choices()[0].kind, AccessPathKind::kScan);
+  ASSERT_TRUE((*indexed)->Initialize().ok());
+  ASSERT_TRUE((*scanned)->Initialize().ok());
+
+  const char* const kProbes[] = {R"({"id": 0, "k": 1})",   R"({"id": 1, "k": 1.0})",
+                                 R"({"id": 2, "k": "1"})", R"({"id": 3, "k": 2.5})",
+                                 R"({"id": 4, "k": 2.0})", R"({"id": 5, "k": null})",
+                                 R"({"id": 6})",           R"({"id": 7, "k": 3})"};
+  // Twice over: the second pass is served from the probe memo.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const char* probe : kProbes) {
+      Value t = adm::ParseJson(probe).value();
+      auto a = (*indexed)->EnrichOne(t);
+      auto b = (*scanned)->EnrichOne(t);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      EXPECT_EQ(a->ToString(), b->ToString()) << probe;
+    }
+  }
+  auto one = (*indexed)->EnrichOne(adm::ParseJson(R"({"id": 0, "k": 1})").value());
+  ASSERT_TRUE(one.ok());
+  const adm::Array& hits = one->GetField("hits")->AsArray();
+  ASSERT_EQ(hits.size(), 3u);
+  EXPECT_EQ(hits[0].AsInt(), 0);
+  EXPECT_EQ(hits[1].AsInt(), 1);
+  EXPECT_EQ(hits[2].AsInt(), 9);
+  EXPECT_GT((*indexed)->stats().probe_cache_hits, 0u);
+}
+
 TEST_F(PlanTest, ForkSharesNothingMutable) {
   const auto& uc = workload::GetUseCase(workload::UseCaseId::kSafetyRating);
   SetupUseCase(uc);
