@@ -236,8 +236,8 @@ FaultPoint* FaultInjector::RegisterPoint(std::string_view name) {
 void FaultInjector::Arm(const std::string& point, FaultSpec spec) {
   FaultPoint* p = RegisterPoint(point);
   std::lock_guard<std::mutex> lock(mu_);
-  // Quiesce the point before rewriting its spec: Fire() reads spec_/seed_
-  // without a lock, guarded only by the armed flag.
+  // Quiesce the point before rewriting its spec: Hit() reads spec_/seed_
+  // without a lock, guarded only by the armed tag.
   bool was_armed = p->armed_tag_.exchange(0, std::memory_order_acq_rel) != 0;
   {
     std::lock_guard<std::mutex> plock(p->mu_);

@@ -174,14 +174,15 @@ class FaultPoint {
   /// One hit from an IDEA_FAULT_HIT site: free while disarmed (the guard
   /// load), otherwise records the hit and applies the armed spec. Returns
   /// the injected error when the hit fires (OK for delay-only faults, after
-  /// sleeping). `payload` keys probability decisions as in FireKeyed.
+  /// sleeping). A non-empty `payload` makes probability triggers decide by
+  /// hashing seed ^ payload instead of consuming the shared RNG stream —
+  /// deterministic per payload under concurrency.
   ///
   /// The branch hints are a code-layout choice, not a claim that points are
   /// usually armed: they keep the few instructions of the armed fast path
-  /// inline at the call site, where a disarmed hit jumps over them. Laid out
-  /// the other way, every armed-but-idle hit jumped to its own out-of-line
-  /// block, an extra instruction-cache line per call site that the record
-  /// path paid for on every record.
+  /// inline at the call site, where a disarmed hit jumps over them. An
+  /// out-of-line fast path would cost every armed-but-idle hit an extra
+  /// instruction-cache line per call site.
   Status Hit(std::string_view payload = std::string_view()) {
     const uint64_t armed = armed_tag_.load(std::memory_order_relaxed);
     if (armed != 0) [[likely]] {
@@ -189,19 +190,6 @@ class FaultPoint {
       return FireSlow(payload);
     }
     return Status::OK();
-  }
-
-  /// Records a hit and applies the armed spec. Returns the injected error
-  /// when the hit fires (OK for delay-only faults, after sleeping).
-  Status Fire() { return FireKeyed(std::string_view()); }
-
-  /// Like Fire(), but probability triggers decide by hashing seed ^ payload
-  /// instead of consuming the shared RNG stream — deterministic per payload
-  /// under concurrency.
-  Status FireKeyed(std::string_view payload) {
-    const uint64_t armed = armed_tag_.load(std::memory_order_relaxed);
-    if (armed != 0 && FastHit(armed)) return Status::OK();
-    return FireSlow(payload);
   }
 
   /// Total recorded hits. Exact for always/probability triggers; for the
@@ -331,7 +319,7 @@ class FaultInjector {
   std::map<std::string, PointStats> Stats() const;
 
   /// True when at least one point is armed. The IDEA_FAULT_HIT macros do not
-  /// consult this (the per-point armed flag suffices); exposed for tests and
+  /// consult this (the per-point armed tag suffices); exposed for tests and
   /// for gating optional bookkeeping.
   bool enabled() const { return armed_count_.load(std::memory_order_relaxed) > 0; }
 
