@@ -1,6 +1,7 @@
 #include "adm/value.h"
 
 #include <cmath>
+#include <limits>
 
 #include "adm/json.h"
 
@@ -79,8 +80,27 @@ void Value::RemoveField(const std::string& name) {
 
 namespace {
 
-int Cmp(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
+constexpr double kTwo63 = 9223372036854775808.0;  // 2^63, exact as a double
+
+// NaN equals NaN and orders above every other number, which keeps Compare a
+// strict weak order (IEEE comparisons would make NaN equal to everything).
+int Cmp(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+}
 int Cmp(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
+
+// Exact int64-vs-double comparison. Widening the int64 to double would round
+// above 2^53 and make numeric equality intransitive.
+int CmpIntDouble(int64_t i, double d) {
+  if (std::isnan(d) || d >= kTwo63) return -1;
+  if (d < -kTwo63) return 1;
+  double t = std::trunc(d);  // in [-2^63, 2^63), so the cast is exact
+  if (int c = Cmp(i, static_cast<int64_t>(t))) return c;
+  return Cmp(t, d);
+}
 
 int CmpPoint(const Point& a, const Point& b) {
   if (int c = Cmp(a.x, b.x)) return c;
@@ -93,8 +113,10 @@ int Value::Compare(const Value& a, const Value& b) {
   ValueType ta = a.type(), tb = b.type();
   // Numerics compare numerically across int64/double.
   if (a.IsNumeric() && b.IsNumeric()) {
-    if (a.IsInt() && b.IsInt()) return Cmp(a.AsInt(), b.AsInt());
-    return Cmp(a.AsNumber(), b.AsNumber());
+    if (a.IsInt()) {
+      return b.IsInt() ? Cmp(a.AsInt(), b.AsInt()) : CmpIntDouble(a.AsInt(), b.AsDouble());
+    }
+    return b.IsInt() ? -CmpIntDouble(b.AsInt(), a.AsDouble()) : Cmp(a.AsDouble(), b.AsDouble());
   }
   if (ta != tb) return static_cast<int>(ta) < static_cast<int>(tb) ? -1 : 1;
   switch (ta) {
@@ -171,14 +193,22 @@ uint64_t HashBytes(const void* p, size_t n, uint64_t h = kFnvOffset) {
 }
 
 uint64_t HashDouble(double d) {
-  // Hash the numeric value so that int64(5) and double(5.0) collide, matching
-  // Compare() equality across numeric types.
-  if (d == static_cast<double>(static_cast<int64_t>(d)) &&
-      std::abs(d) < 9.0e18) {
+  // Hash the numeric value so that int64(5) and double(5.0) collide, and
+  // -0.0 with 0.0, matching Compare() equality across numeric types. The
+  // range check comes first: casting NaN, an infinity or anything outside
+  // [-2^63, 2^63) to int64 is undefined.
+  if (d >= -kTwo63 && d < kTwo63) {
     int64_t i = static_cast<int64_t>(d);
-    return HashBytes(&i, sizeof(i));
+    if (static_cast<double>(i) == d) return HashBytes(&i, sizeof(i));
   }
+  // Compare() makes every NaN equal, whatever its sign and payload bits.
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
   return HashBytes(&d, sizeof(d));
+}
+
+uint64_t HashPoint(uint64_t h, const Point& p) {
+  h = HashCombine(h, HashDouble(p.x));
+  return HashCombine(h, HashDouble(p.y));
 }
 }  // namespace
 
@@ -209,20 +239,15 @@ uint64_t Value::Hash(const Value& v) {
       h = HashCombine(h, static_cast<uint64_t>(d.months));
       return HashCombine(h, static_cast<uint64_t>(d.millis));
     }
-    case ValueType::kPoint: {
-      const Point& p = v.AsPoint();
-      h = HashCombine(h, HashBytes(&p.x, sizeof(p.x)));
-      return HashCombine(h, HashBytes(&p.y, sizeof(p.y)));
-    }
-    case ValueType::kRectangle: {
-      const Rectangle& r = v.AsRectangle();
-      h = HashCombine(h, HashBytes(&r.lo, sizeof(r.lo)));
-      return HashCombine(h, HashBytes(&r.hi, sizeof(r.hi)));
-    }
+    // Coordinates hash through HashDouble so -0.0 and every NaN hash the
+    // way Compare() equates them.
+    case ValueType::kPoint:
+      return HashPoint(h, v.AsPoint());
+    case ValueType::kRectangle:
+      return HashPoint(HashPoint(h, v.AsRectangle().lo), v.AsRectangle().hi);
     case ValueType::kCircle: {
       const Circle& c = v.AsCircle();
-      h = HashCombine(h, HashBytes(&c.center, sizeof(c.center)));
-      return HashCombine(h, HashBytes(&c.radius, sizeof(c.radius)));
+      return HashCombine(HashPoint(h, c.center), HashDouble(c.radius));
     }
     case ValueType::kArray: {
       for (const Value& e : v.AsArray()) h = HashCombine(h, Hash(e));

@@ -209,8 +209,9 @@ class Value {
   bool operator!=(const Value& o) const { return !(*this == o); }
   bool operator<(const Value& o) const { return Compare(*this, o) < 0; }
 
-  /// Total order over all values. Numerics compare numerically across
-  /// int64/double; otherwise values of different types order by type tag.
+  /// Total order over all values. Numerics compare numerically and exactly
+  /// across int64/double, with NaN equal to NaN and above every other
+  /// number; otherwise values of different types order by type tag.
   static int Compare(const Value& a, const Value& b);
 
   /// Stable hash compatible with Compare-equality for hashable types.

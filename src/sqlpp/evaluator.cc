@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -762,10 +763,9 @@ Status Evaluator::ProduceTuples(const SelectStatement& q, Env* env,
   return FromItemLoop(q, 0, env, emit);
 }
 
-Status Evaluator::EvalSelectOutput(const SelectStatement& q, Env* env, adm::Array* out) {
+Status Evaluator::EvalSelectOutput(const SelectStatement& q, Env* env, Value* out) {
   if (q.select_value != nullptr) {
-    IDEA_ASSIGN_OR_RETURN(Value v, Eval(*q.select_value, env));
-    out->push_back(std::move(v));
+    IDEA_ASSIGN_OR_RETURN(*out, Eval(*q.select_value, env));
     return Status::OK();
   }
   adm::Fields fields;
@@ -807,9 +807,118 @@ Status Evaluator::EvalSelectOutput(const SelectStatement& q, Env* env, adm::Arra
       fields.emplace_back(std::move(name), *v);
     }
   }
-  out->push_back(Value::MakeObject(std::move(fields)));
+  *out = Value::MakeObject(std::move(fields));
   return Status::OK();
 }
+
+namespace {
+
+// A literal, a variable, or a field/index chain over them. EvalRef resolves
+// it without calling a function, scanning or touching EvalStats, and it can
+// fail only on an unbound variable, which fails every row of a block alike
+// (all rows bind the same names).
+bool IsPath(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kLiteral:
+    case ExprKind::kVarRef:
+      return true;
+    case ExprKind::kFieldAccess:
+      return IsPath(*e.base);
+    case ExprKind::kIndexAccess:
+      return IsPath(*e.base) && IsPath(*e.index);
+    default:
+      return false;
+  }
+}
+
+// SELECT VALUE <path>, or a projection list of paths without `.*`.
+bool OutputIsPaths(const SelectStatement& q) {
+  if (q.select_value != nullptr) return IsPath(*q.select_value);
+  for (const Projection& p : q.projections) {
+    if (p.star || p.expr == nullptr || !IsPath(*p.expr)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+// Rows rank by (ORDER BY keys, arrival index). The index makes the order
+// total, so the survivors, sorted, are exactly std::stable_sort's first k.
+// Rows append until k are held; then they form a max-heap whose front is the
+// worst survivor, and each later row either replaces it or is rejected,
+// leaving its scratch row (key vector included) to the next row. Without
+// LIMIT, k is unbounded and Finish sorts every row.
+//
+// A row's output is built in its tuple (or group) scope. A path output is
+// built only for rows that enter the top k; any other output is built for
+// every row, so its errors and EvalStats are those of evaluating all rows.
+// With k = 0 nothing is deferred, so an unbound variable in a path output
+// still fails the query; with k >= 1 the first row always enters, so it
+// fails at the same row as building every output would.
+class Evaluator::TopK {
+ public:
+  TopK(Evaluator* ev, const SelectStatement& q)
+      : ev_(ev),
+        q_(q),
+        k_(q.limit >= 0 ? static_cast<size_t>(q.limit) : std::numeric_limits<size_t>::max()),
+        defer_output_(k_ > 0 && OutputIsPaths(q)) {}
+
+  Status Offer(Env* env) {
+    scratch_.keys.resize(q_.order_by.size());
+    for (size_t i = 0; i < q_.order_by.size(); ++i) {
+      IDEA_ASSIGN_OR_RETURN(scratch_.keys[i], ev_->Eval(*q_.order_by[i].expr, env));
+    }
+    scratch_.arrival = arrivals_++;
+    if (!defer_output_) IDEA_RETURN_NOT_OK(ev_->EvalSelectOutput(q_, env, &scratch_.value));
+    const bool full = rows_.size() == k_;
+    if (full && (k_ == 0 || !less_(scratch_, rows_.front()))) return Status::OK();
+    if (defer_output_) IDEA_RETURN_NOT_OK(ev_->EvalSelectOutput(q_, env, &scratch_.value));
+    if (!full) {
+      rows_.push_back(std::move(scratch_));
+      if (rows_.size() == k_) std::make_heap(rows_.begin(), rows_.end(), less_);
+      return Status::OK();
+    }
+    std::pop_heap(rows_.begin(), rows_.end(), less_);
+    std::swap(rows_.back(), scratch_);
+    std::push_heap(rows_.begin(), rows_.end(), less_);
+    return Status::OK();
+  }
+
+  adm::Array Finish() {
+    std::sort(rows_.begin(), rows_.end(), less_);
+    adm::Array out;
+    out.reserve(rows_.size());
+    for (Row& row : rows_) out.push_back(std::move(row.value));
+    return out;
+  }
+
+ private:
+  struct Row {
+    std::vector<Value> keys;
+    uint64_t arrival = 0;
+    Value value;
+  };
+  struct RowLess {
+    const std::vector<OrderKey>* order_by;
+    bool operator()(const Row& a, const Row& b) const {
+      for (size_t i = 0; i < a.keys.size(); ++i) {
+        int c = Value::Compare(a.keys[i], b.keys[i]);
+        if ((*order_by)[i].descending) c = -c;
+        if (c != 0) return c < 0;
+      }
+      return a.arrival < b.arrival;
+    }
+  };
+
+  Evaluator* ev_;
+  const SelectStatement& q_;
+  const size_t k_;
+  const bool defer_output_;
+  const RowLess less_{&q_.order_by};
+  uint64_t arrivals_ = 0;
+  Row scratch_;
+  std::vector<Row> rows_;
+};
 
 Result<bool> Evaluator::TryStreamingAggregate(const SelectStatement& q, Env* block_env,
                                               adm::Array* out) {
@@ -951,7 +1060,9 @@ Result<adm::Array> Evaluator::EvalQuery(const SelectStatement& q, Env* env) {
 
   if (!grouped && q.order_by.empty()) {
     Status st = ProduceTuples(q, &block_env, [&](Env* tuple_env) -> Status {
-      IDEA_RETURN_NOT_OK(EvalSelectOutput(q, tuple_env, &out));
+      Value row;
+      IDEA_RETURN_NOT_OK(EvalSelectOutput(q, tuple_env, &row));
+      out.push_back(std::move(row));
       if (q.limit >= 0 && out.size() >= static_cast<size_t>(q.limit)) {
         return Status::Aborted(kLimitReached);
       }
@@ -962,38 +1073,11 @@ Result<adm::Array> Evaluator::EvalQuery(const SelectStatement& q, Env* env) {
   }
 
   if (!grouped) {
-    // ORDER BY (and optional LIMIT) without grouping: evaluate sort keys in
-    // the tuple scope, select output per tuple, sort, cut.
-    struct Row {
-      std::vector<Value> keys;
-      Value value;
-    };
-    std::vector<Row> rows;
-    IDEA_RETURN_NOT_OK(ProduceTuples(q, &block_env, [&](Env* tuple_env) -> Status {
-      Row row;
-      for (const auto& o : q.order_by) {
-        IDEA_ASSIGN_OR_RETURN(Value k, Eval(*o.expr, tuple_env));
-        row.keys.push_back(std::move(k));
-      }
-      adm::Array one;
-      IDEA_RETURN_NOT_OK(EvalSelectOutput(q, tuple_env, &one));
-      row.value = std::move(one[0]);
-      rows.push_back(std::move(row));
-      return Status::OK();
-    }));
-    std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
-      for (size_t i = 0; i < q.order_by.size(); ++i) {
-        int c = Value::Compare(a.keys[i], b.keys[i]);
-        if (q.order_by[i].descending) c = -c;
-        if (c != 0) return c < 0;
-      }
-      return false;
-    });
-    size_t n = rows.size();
-    if (q.limit >= 0) n = std::min(n, static_cast<size_t>(q.limit));
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i) out.push_back(std::move(rows[i].value));
-    return out;
+    // ORDER BY (and optional LIMIT) without grouping.
+    TopK top(this, q);
+    IDEA_RETURN_NOT_OK(ProduceTuples(
+        q, &block_env, [&](Env* tuple_env) -> Status { return top.Offer(tuple_env); }));
+    return top.Finish();
   }
 
   // Implicit single-group aggregation over pure aggregate outputs streams.
@@ -1036,11 +1120,7 @@ Result<adm::Array> Evaluator::EvalQuery(const SelectStatement& q, Env* env) {
     groups.push_back(Group{{}, {}});
   }
 
-  struct GroupRow {
-    std::vector<Value> keys;
-    Value value;
-  };
-  std::vector<GroupRow> rows;
+  TopK top(this, q);
   for (const Group& g : groups) {
     Env group_env(&block_env);
     for (size_t i = 0; i < q.group_by.size(); ++i) {
@@ -1067,32 +1147,9 @@ Result<adm::Array> Evaluator::EvalQuery(const SelectStatement& q, Env* env) {
       IDEA_ASSIGN_OR_RETURN(Value pass, Eval(*q.having, &group_env));
       if (!Truthy(pass)) continue;
     }
-    GroupRow row;
-    for (const auto& o : q.order_by) {
-      IDEA_ASSIGN_OR_RETURN(Value k, Eval(*o.expr, &group_env));
-      row.keys.push_back(std::move(k));
-    }
-    adm::Array one;
-    IDEA_RETURN_NOT_OK(EvalSelectOutput(q, &group_env, &one));
-    row.value = std::move(one[0]);
-    rows.push_back(std::move(row));
+    IDEA_RETURN_NOT_OK(top.Offer(&group_env));
   }
-
-  if (!q.order_by.empty()) {
-    std::stable_sort(rows.begin(), rows.end(), [&](const GroupRow& a, const GroupRow& b) {
-      for (size_t i = 0; i < q.order_by.size(); ++i) {
-        int c = Value::Compare(a.keys[i], b.keys[i]);
-        if (q.order_by[i].descending) c = -c;
-        if (c != 0) return c < 0;
-      }
-      return false;
-    });
-  }
-  size_t n = rows.size();
-  if (q.limit >= 0) n = std::min(n, static_cast<size_t>(q.limit));
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) out.push_back(std::move(rows[i].value));
-  return out;
+  return top.Finish();
 }
 
 }  // namespace idea::sqlpp

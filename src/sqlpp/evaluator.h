@@ -321,9 +321,13 @@ class Evaluator {
   Status FromItemLoop(const SelectStatement& q, size_t item, Env* env,
                       const std::function<Status(Env*)>& emit);
 
-  /// Evaluates WHERE + post-FROM LETs for the current tuple env; emits
-  /// downstream when the predicate passes.
-  Status EvalSelectOutput(const SelectStatement& q, Env* env, adm::Array* out);
+  /// Evaluates the block's output row (SELECT VALUE or projection list) in
+  /// the current tuple or group env into `*out`.
+  Status EvalSelectOutput(const SelectStatement& q, Env* env, adm::Value* out);
+
+  /// Bounded top-K over the rows of an ORDER BY block or a grouped block:
+  /// keeps only the rows that survive the LIMIT (see evaluator.cc).
+  class TopK;
 
   Result<adm::Value> EvalAggregateCall(const Expr& e, Env* env);
 

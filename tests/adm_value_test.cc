@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "adm/value.h"
 #include "common/rng.h"
 
@@ -146,6 +150,86 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ValueOrderProperty, ::testing::Values(1, 2, 3, 4
 
 TEST(ValueHashTest, IntAndDoubleCollideWhenEqual) {
   EXPECT_EQ(Value::Hash(Value::MakeInt(42)), Value::Hash(Value::MakeDouble(42.0)));
+}
+
+const double kInf = std::numeric_limits<double>::infinity();
+const double kNan = std::numeric_limits<double>::quiet_NaN();
+// NaNs with other sign and payload bits than kNan.
+const double kNegNan = std::copysign(kNan, -1.0);
+const double kPayloadNan = std::bit_cast<double>(uint64_t{0x7ff8000000000123});
+
+// Checks that `values` are ordered by a strict weak order under Compare and
+// that Hash agrees with its equality.
+void ExpectStrictWeakOrder(const std::vector<Value>& values) {
+  auto lt = [](const Value& a, const Value& b) { return Value::Compare(a, b) < 0; };
+  auto eq = [](const Value& a, const Value& b) { return Value::Compare(a, b) == 0; };
+  for (const Value& a : values) {
+    EXPECT_FALSE(lt(a, a)) << a.ToString();  // irreflexive
+    for (const Value& b : values) {
+      EXPECT_EQ(lt(a, b), Value::Compare(b, a) > 0) << a.ToString() << " vs " << b.ToString();
+      if (eq(a, b)) {
+        EXPECT_EQ(Value::Hash(a), Value::Hash(b)) << a.ToString() << " vs " << b.ToString();
+      }
+      for (const Value& c : values) {
+        if (lt(a, b) && lt(b, c)) {
+          EXPECT_TRUE(lt(a, c)) << a.ToString() << " < " << b.ToString() << " < "
+                                << c.ToString();
+        }
+        if (eq(a, b) && eq(b, c)) {
+          EXPECT_TRUE(eq(a, c)) << a.ToString() << " = " << b.ToString() << " = "
+                                << c.ToString();
+        }
+      }
+    }
+  }
+}
+
+TEST(ValueCompareTest, StrictWeakOrderOverNumericEdgeCases) {
+  const int64_t two53 = int64_t{1} << 53;
+  std::vector<Value> numbers;
+  for (int64_t i : {std::numeric_limits<int64_t>::min(), -two53 - 1, -two53, int64_t{-5},
+                    int64_t{0}, int64_t{1}, int64_t{5}, two53, two53 + 1,
+                    std::numeric_limits<int64_t>::max()}) {
+    numbers.push_back(Value::MakeInt(i));
+  }
+  // 2^53 + 1 and INT64_MAX round to neighbouring doubles when widened.
+  for (double d : {-kInf, -1e300, -9223372036854775808.0, -9007199254740992.0, -5.5, -5.0,
+                   -0.0, 0.0, 0.5, 1.0, 5.0, 9007199254740992.0, 9223372036854775808.0, 1e300,
+                   kInf, kNan, kNegNan, kPayloadNan}) {
+    numbers.push_back(Value::MakeDouble(d));
+  }
+  ExpectStrictWeakOrder(numbers);
+
+  std::vector<Value> points;
+  for (double x : {-0.0, 0.0, 1.0, kInf, kNan, kNegNan}) {
+    for (double y : {0.0, -0.0, kNan, kPayloadNan}) points.push_back(Value::MakePoint({x, y}));
+  }
+  ExpectStrictWeakOrder(points);
+}
+
+TEST(ValueCompareTest, NanEqualsNanAndSortsAboveEveryNumber) {
+  for (double d : {kNan, kNegNan, kPayloadNan}) {
+    Value nan = Value::MakeDouble(d);
+    EXPECT_EQ(Value::Compare(nan, Value::MakeDouble(kNan)), 0);
+    EXPECT_GT(Value::Compare(nan, Value::MakeDouble(kInf)), 0);
+    EXPECT_GT(Value::Compare(nan, Value::MakeInt(std::numeric_limits<int64_t>::max())), 0);
+    EXPECT_LT(Value::Compare(Value::MakeInt(5), nan), 0);
+    EXPECT_LT(Value::Compare(nan, Value::MakeString("")), 0);  // type tag order still holds
+  }
+}
+
+TEST(ValueHashTest, DoublesOutsideInt64RangeAndNans) {
+  // Each of these lies outside int64's range; hashing must not cast it.
+  for (double d : {1e300, -1e300, kInf, -kInf}) {
+    EXPECT_NE(Value::Hash(Value::MakeDouble(d)), Value::Hash(Value::MakeDouble(-d)));
+  }
+  EXPECT_EQ(Value::Hash(Value::MakeDouble(kNan)), Value::Hash(Value::MakeDouble(kNegNan)));
+  EXPECT_EQ(Value::Hash(Value::MakeDouble(kNan)), Value::Hash(Value::MakeDouble(kPayloadNan)));
+  EXPECT_EQ(Value::Hash(Value::MakeInt(5)), Value::Hash(Value::MakeDouble(5.0)));
+  EXPECT_EQ(Value::Hash(Value::MakeInt(0)), Value::Hash(Value::MakeDouble(-0.0)));
+  // 9.1e18 is exact as a double and still inside int64's range.
+  EXPECT_EQ(Value::Hash(Value::MakeInt(9100000000000000000)),
+            Value::Hash(Value::MakeDouble(9.1e18)));
 }
 
 TEST(ValueTest, EstimateSizeGrowsWithContent) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <numeric>
 
 #include "adm/json.h"
+#include "common/rng.h"
 #include "sqlpp/evaluator.h"
 #include "sqlpp/parser.h"
 
@@ -197,6 +202,226 @@ TEST_F(EvaluatorTest, OrderByAndLimit) {
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].AsInt(), 50);
   EXPECT_EQ(rows[1].AsInt(), 40);
+}
+
+TEST_F(EvaluatorTest, NanEqualsOnlyNan) {
+  EXPECT_FALSE(EvalExpr("sqrt(-1) = 5").AsBool());
+  EXPECT_TRUE(EvalExpr("sqrt(-1) = sqrt(-4)").AsBool());
+  EXPECT_TRUE(EvalExpr("sqrt(-1) > 1000000").AsBool());
+}
+
+// sqrt(v) is NaN for the negative v, and NaN sorts after every number.
+class NanKeyTest : public EvaluatorTest {
+ protected:
+  NanKeyTest() {
+    std::vector<Value> nums;
+    for (int64_t v : {9, -1, 1, -4, 4, 16, -9, 0, 25}) {
+      nums.push_back(Value::MakeObject({{"v", Value::MakeInt(v)}}));
+    }
+    accessor_.Add("Nums", std::move(nums));
+  }
+};
+
+TEST_F(NanKeyTest, OrderByPutsNanKeysLastInArrivalOrder) {
+  adm::Array rows = Query("SELECT VALUE n.v FROM Nums n ORDER BY sqrt(n.v);");
+  std::vector<int64_t> got;
+  for (const Value& r : rows) got.push_back(r.AsInt());
+  EXPECT_EQ(got, (std::vector<int64_t>{0, 1, 4, 9, 16, 25, -1, -4, -9}));
+}
+
+TEST_F(NanKeyTest, GroupByKeepsNanKeysInTheirOwnGroup) {
+  adm::Array rows = Query("SELECT k, count(*) AS c FROM Nums n GROUP BY sqrt(n.v) AS k;");
+  ASSERT_EQ(rows.size(), 7u);
+  std::map<std::string, int64_t> counts;
+  for (const Value& r : rows) {
+    double k = r.GetField("k")->AsDouble();
+    counts[std::isnan(k) ? "nan" : std::to_string(k)] = r.GetField("c")->AsInt();
+  }
+  EXPECT_EQ(counts[std::to_string(3.0)], 1);
+  EXPECT_EQ(counts["nan"], 3);
+}
+
+// ORDER BY ... LIMIT against a reference computed here: std::stable_sort
+// over the seeded records, cut to the LIMIT. Keys mix ints, doubles (NaN
+// included), strings, null and missing, with many duplicates.
+class OrderByReferenceTest : public EvaluatorTest,
+                             public ::testing::WithParamInterface<uint64_t> {
+ protected:
+  static constexpr size_t kRows = 60;
+  static constexpr int64_t kNoLimit = -1;
+
+  OrderByReferenceTest() {
+    Rng rng(GetParam());
+    for (size_t i = 0; i < kRows; ++i) {
+      adm::Fields f;
+      f.emplace_back("id", Value::MakeInt(static_cast<int64_t>(i)));
+      Value a = RandomKey(&rng);
+      if (!a.IsMissing()) f.emplace_back("a", std::move(a));
+      if (rng.NextBool(0.8)) f.emplace_back("b", Value::MakeInt(rng.NextInRange(0, 2)));
+      f.emplace_back("g", rng.NextBool(0.2) ? Value::MakeInt(rng.NextInRange(0, 1))
+                                            : Value::MakeString(rng.NextAlpha(1)));
+      records_.push_back(Value::MakeObject(std::move(f)));
+    }
+    accessor_.Add("R", records_);
+  }
+
+  static Value RandomKey(Rng* rng) {
+    switch (rng->NextBelow(6)) {
+      case 0:
+        return Value::MakeInt(rng->NextInRange(0, 3));
+      case 1: {
+        const double d[] = {0.5, 1.0, 2.0, std::numeric_limits<double>::quiet_NaN()};
+        return Value::MakeDouble(d[rng->NextBelow(4)]);
+      }
+      case 2:
+        return Value::MakeString(rng->NextBool(0.5) ? "x" : "y");
+      case 3:
+        return Value::MakeNull();
+      case 4:
+        return Value::MakeMissing();
+      default:
+        return Value::MakeInt(1);  // ties with 1, 1.0 and other 1s
+    }
+  }
+
+  static std::string WithLimit(const std::string& query, int64_t limit) {
+    return limit == kNoLimit ? query + ";" : query + " LIMIT " + std::to_string(limit) + ";";
+  }
+
+  // Indexes into `keys` in stable_sort order of the key vectors, cut to
+  // `limit`.
+  static std::vector<size_t> Reference(const std::vector<std::vector<Value>>& keys,
+                                       const std::vector<bool>& descending, int64_t limit) {
+    std::vector<size_t> order(keys.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+      for (size_t i = 0; i < descending.size(); ++i) {
+        int c = Value::Compare(keys[x][i], keys[y][i]);
+        if (descending[i]) c = -c;
+        if (c != 0) return c < 0;
+      }
+      return false;
+    });
+    if (limit != kNoLimit) order.resize(std::min(order.size(), static_cast<size_t>(limit)));
+    return order;
+  }
+
+  // Record indexes ordered by the named fields (missing when absent).
+  std::vector<size_t> RecordOrder(const std::vector<std::string>& fields,
+                                  const std::vector<bool>& descending, int64_t limit) const {
+    std::vector<std::vector<Value>> keys;
+    for (const Value& r : records_) {
+      keys.emplace_back();
+      for (const std::string& f : fields) keys.back().push_back(r.GetFieldOrMissing(f));
+    }
+    return Reference(keys, descending, limit);
+  }
+
+  const Value& Field(size_t record, const std::string& name) const {
+    return records_[record].GetFieldOrMissing(name);
+  }
+
+  void ExpectRows(const std::string& query, const adm::Array& expected) {
+    adm::Array rows = Query(query);
+    EXPECT_EQ(Value::MakeArray(rows).ToString(), Value::MakeArray(expected).ToString())
+        << query;
+  }
+
+  std::vector<int64_t> Limits() const {
+    return {kNoLimit, 0, 1, 3, static_cast<int64_t>(kRows), static_cast<int64_t>(kRows) + 5};
+  }
+
+  std::vector<Value> records_;
+};
+
+TEST_P(OrderByReferenceTest, PathValueOneKey) {
+  for (bool desc : {false, true}) {
+    for (int64_t limit : Limits()) {
+      adm::Array expected;
+      for (size_t i : RecordOrder({"a"}, {desc}, limit)) expected.push_back(Field(i, "id"));
+      ExpectRows(WithLimit(std::string("SELECT VALUE r.id FROM R r ORDER BY r.a") +
+                               (desc ? " DESC" : ""),
+                           limit),
+                 expected);
+    }
+  }
+}
+
+TEST_P(OrderByReferenceTest, ProjectionListTwoKeys) {
+  for (int64_t limit : Limits()) {
+    adm::Array expected;
+    for (size_t i : RecordOrder({"b", "a"}, {true, false}, limit)) {
+      adm::Fields f;
+      f.emplace_back("id", Field(i, "id"));
+      if (!Field(i, "a").IsMissing()) f.emplace_back("k", Field(i, "a"));
+      expected.push_back(Value::MakeObject(std::move(f)));
+    }
+    ExpectRows(WithLimit("SELECT r.id, r.a AS k FROM R r ORDER BY r.b DESC, r.a", limit),
+               expected);
+  }
+}
+
+TEST_P(OrderByReferenceTest, NonPathOutputTwoKeys) {
+  for (int64_t limit : Limits()) {
+    adm::Array expected;
+    for (size_t i : RecordOrder({"a", "b"}, {false, true}, limit)) {
+      expected.push_back(Value::MakeInt(Field(i, "id").AsInt() * 10));
+    }
+    ExpectRows(WithLimit("SELECT VALUE r.id * 10 FROM R r ORDER BY r.a, r.b DESC", limit),
+               expected);
+  }
+}
+
+TEST_P(OrderByReferenceTest, GroupedOrderByCount) {
+  // Groups in first-appearance order, as the evaluator forms them.
+  std::vector<Value> group_keys;
+  std::vector<std::vector<Value>> counts;
+  for (size_t i = 0; i < kRows; ++i) {
+    const Value& g = Field(i, "g");
+    size_t j = 0;
+    while (j < group_keys.size() && Value::Compare(group_keys[j], g) != 0) ++j;
+    if (j == group_keys.size()) {
+      group_keys.push_back(g);
+      counts.push_back({Value::MakeInt(0)});
+    }
+    counts[j][0] = Value::MakeInt(counts[j][0].AsInt() + 1);
+  }
+  for (bool desc : {false, true}) {
+    for (int64_t limit : Limits()) {
+      adm::Array keys_only, with_counts;
+      for (size_t j : Reference(counts, {desc}, limit)) {
+        keys_only.push_back(group_keys[j]);
+        with_counts.push_back(Value::MakeObject({{"g", group_keys[j]}, {"c", counts[j][0]}}));
+      }
+      std::string order = std::string(" GROUP BY r.g ORDER BY count(*)") + (desc ? " DESC" : "");
+      ExpectRows(WithLimit("SELECT VALUE r.g FROM R r" + order, limit), keys_only);
+      ExpectRows(WithLimit("SELECT r.g, count(*) AS c FROM R r" + order, limit), with_counts);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OrderByReferenceTest, ::testing::Values(1, 2, 3, 4, 5));
+
+TEST_F(EvaluatorTest, OrderByLimitFailsOnAnErrorOutsideTheTopK) {
+  // Only the last record's output errors (int + string), and it sorts last.
+  std::vector<Value> recs;
+  for (int64_t i = 0; i < 10; ++i) {
+    recs.push_back(Value::MakeObject(
+        {{"id", Value::MakeInt(i)}, {"s", i == 9 ? Value::MakeString("x") : Value::MakeInt(1)}}));
+  }
+  accessor_.Add("R", std::move(recs));
+  for (const char* query : {"SELECT VALUE r.id + r.s FROM R r ORDER BY r.id LIMIT 3;",
+                            "SELECT VALUE r.id + r.s FROM R r ORDER BY r.id LIMIT 0;",
+                            "SELECT VALUE r.id FROM R r ORDER BY r.id + r.s LIMIT 3;"}) {
+    auto s = ParseStatement(query);
+    ASSERT_TRUE(s.ok()) << query;
+    Evaluator ev(ctx_);
+    Env env;
+    auto r = ev.EvalQuery(*s->query, &env);
+    ASSERT_FALSE(r.ok()) << query;
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeMismatch) << query;
+  }
+  EXPECT_EQ(Query("SELECT VALUE r.id FROM R r ORDER BY r.id LIMIT 3;").size(), 3u);
 }
 
 TEST_F(EvaluatorTest, GroupByWithAggregates) {
