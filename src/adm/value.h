@@ -202,7 +202,6 @@ class Value {
   /// Removes a field if present. Asserts IsObject().
   void RemoveField(const std::string& name);
 
-  size_t ArraySize() const { return AsArray().size(); }
   size_t FieldCount() const { return AsObject().size(); }
 
   bool operator==(const Value& o) const { return Compare(*this, o) == 0; }

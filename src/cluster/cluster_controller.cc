@@ -1,41 +1,23 @@
 #include "cluster/cluster_controller.h"
 
-#include <algorithm>
-
 #include "common/fault_injection.h"
-#include "common/virtual_clock.h"
 
 namespace idea::cluster {
 
-Cluster::Cluster(ClusterConfig config) : config_(config), cost_model_(config.costs) {
+Cluster::Cluster(ClusterConfig config) : config_(config) {
   for (size_t i = 0; i < config_.nodes; ++i) {
     nodes_.push_back(std::make_unique<NodeController>(i, config_.memgov));
     membership_.AddNode();
   }
   health_ = std::make_unique<HealthMonitor>(&membership_, config_.health);
   cc_scheduler_ = std::make_unique<runtime::TaskScheduler>("cc");
-  host_pool_ = std::make_unique<runtime::TaskScheduler>(
-      "host", std::max<size_t>(1, config_.host_workers));
 }
 
 Cluster::~Cluster() {
   // Stop order: coordination loops first (they fan work out to the nodes),
-  // then the per-node pools (NodeController destructors), then the capped
-  // host pool.
+  // then the per-node pools (NodeController destructors).
   cc_scheduler_->Stop();
   nodes_.clear();
-  host_pool_->Stop();
-}
-
-std::vector<runtime::NodeBinding> Cluster::ExecutorBindings(size_t partitions) {
-  std::shared_lock<std::shared_mutex> lock(nodes_mu_);
-  std::vector<runtime::NodeBinding> bindings;
-  bindings.reserve(partitions);
-  for (size_t p = 0; p < partitions; ++p) {
-    NodeController& nc = *nodes_[p % nodes_.size()];
-    bindings.push_back(runtime::NodeBinding{nc.id(), &nc.scheduler()});
-  }
-  return bindings;
 }
 
 size_t Cluster::AddNode() {
@@ -100,52 +82,6 @@ std::string Cluster::MemgovJson() const {
   }
   out += "],\"epoch\":" + std::to_string(membership_.epoch()) + "}";
   return out;
-}
-
-runtime::SchedulerStats Cluster::SchedulerStatsSummary() const {
-  runtime::SchedulerStats total;
-  auto fold = [&](const runtime::SchedulerStats& s) {
-    total.tasks_run += s.tasks_run;
-    total.tasks_failed += s.tasks_failed;
-    total.workers += s.workers;
-    total.queue_depth += s.queue_depth;
-    total.queue_depth_high_watermark =
-        std::max(total.queue_depth_high_watermark, s.queue_depth_high_watermark);
-    total.queue_wait_p95_us = std::max(total.queue_wait_p95_us, s.queue_wait_p95_us);
-    total.task_run_p95_us = std::max(total.task_run_p95_us, s.task_run_p95_us);
-  };
-  {
-    std::shared_lock<std::shared_mutex> lock(nodes_mu_);
-    for (const auto& node : nodes_) fold(node->scheduler().Stats());
-  }
-  fold(cc_scheduler_->Stats());
-  return total;
-}
-
-std::vector<double> Cluster::MeasureNodeTasks(
-    const std::vector<std::function<void()>>& per_node_work) const {
-  std::vector<double> cpu_micros(per_node_work.size(), 0);
-  runtime::TaskGroup group;
-  for (size_t i = 0; i < per_node_work.size(); ++i) {
-    Status st = group.Launch(host_pool_.get(), [&, i]() -> Status {
-      ThreadCpuTimer timer;
-      timer.Start();
-      per_node_work[i]();
-      cpu_micros[i] = cost_model_.ScaleCpu(timer.ElapsedMicros());
-      return Status::OK();
-    });
-    if (!st.ok()) break;  // stopping: remaining entries stay 0
-  }
-  (void)group.Wait();
-  return cpu_micros;
-}
-
-double Cluster::ParallelStepMicros(
-    const std::vector<std::function<void()>>& per_node_work) const {
-  std::vector<double> cpu = MeasureNodeTasks(per_node_work);
-  double makespan = 0;
-  for (double c : cpu) makespan = std::max(makespan, c);
-  return makespan;
 }
 
 }  // namespace idea::cluster

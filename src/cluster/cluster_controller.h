@@ -2,16 +2,10 @@
 // Controllers (paper §6.1): it starts jobs, tracks feeds (via the Active
 // Feed Manager in src/feed), and owns the predeployed-job cache.
 //
-// Two execution modes:
-//   * kThreads     — every partitioned task really runs on the persistent
-//                    worker pool of its node (wall-clock timing; integration
-//                    tests / examples).
-//   * kVirtualTime — tasks still execute (on a capped host worker pool) but
-//                    each task's *thread CPU time* is measured and
-//                    node-parallel elapsed time is computed analytically
-//                    together with the CostModel; this is how a 2-core
-//                    container reproduces 24-node scaling shapes. See
-//                    DESIGN.md.
+// Every partitioned task runs on the persistent worker pool of its node and
+// is timed in wall-clock time. `ClusterConfig::mode` is not read by any code:
+// the virtual-time reproduction of the paper's figures is FeedSimulation's
+// (src/feed/simulation.h), which runs without a Cluster.
 //
 // Execution substrate: every NodeController owns a persistent
 // runtime::TaskScheduler, and the CC owns one more ("cc") for coordination
@@ -20,16 +14,13 @@
 // the owning Instance's lifecycle.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <shared_mutex>
 #include <string>
 #include <vector>
 
-#include "cluster/cost_model.h"
 #include "cluster/membership.h"
 #include "cluster/node_controller.h"
-#include "runtime/job_executor.h"
 #include "runtime/memory_governor.h"
 #include "runtime/predeployed.h"
 #include "runtime/task_scheduler.h"
@@ -40,10 +31,8 @@ enum class ExecutionMode : uint8_t { kThreads, kVirtualTime };
 
 struct ClusterConfig {
   size_t nodes = 3;
+  /// Not read by any code (see the header comment); callers still set it.
   ExecutionMode mode = ExecutionMode::kVirtualTime;
-  CostModelConfig costs;
-  /// Host worker threads used to execute virtual-time tasks.
-  size_t host_workers = 2;
   /// Per-node memory-governor budget/delay (idea.memgov.*).
   runtime::MemoryGovernorOptions memgov;
   /// Heartbeat cadence / miss thresholds for the health monitor.
@@ -63,7 +52,6 @@ class Cluster {
     std::shared_lock<std::shared_mutex> lock(nodes_mu_);
     return *nodes_[i];
   }
-  const CostModel& costs() const { return cost_model_; }
 
   /// Epoch-stamped liveness roster consulted by routers / the AFM.
   MembershipTable& membership() { return membership_; }
@@ -94,35 +82,14 @@ class Cluster {
   /// {"nodes":[{"id":...,"budget_bytes":...,...}]} for the /memgov endpoint.
   std::string MemgovJson() const;
   runtime::PredeployedJobManager& predeployed() { return predeployed_; }
-  ExecutionMode mode() const { return config_.mode; }
   const ClusterConfig& config() const { return config_; }
 
   /// The CC's own pool: feed drivers and invocation coordinators run here so
   /// control loops recycle threads like everything else.
   runtime::TaskScheduler& cc_scheduler() { return *cc_scheduler_; }
 
-  /// Executor bindings for a `partitions`-wide job: partition p runs on node
-  /// p % node_count() with that node's id, so OperatorContext::node_id in
-  /// traces/metrics always matches NodeController::id().
-  std::vector<runtime::NodeBinding> ExecutorBindings(size_t partitions);
-
-  /// Aggregate scheduling statistics over every node pool plus the CC pool
-  /// (p95s are the max across pools, not a merged distribution).
-  runtime::SchedulerStats SchedulerStatsSummary() const;
-
-  /// Executes one task per node and returns each task's simulated CPU time
-  /// in microseconds (measured thread CPU, scaled by the cost model). Tasks
-  /// run concurrently on up to `host_workers` pooled host threads.
-  std::vector<double> MeasureNodeTasks(
-      const std::vector<std::function<void()>>& per_node_work) const;
-
-  /// Convenience: simulated makespan of one parallel step = max of
-  /// MeasureNodeTasks (+ nothing else; callers add coordination costs).
-  double ParallelStepMicros(const std::vector<std::function<void()>>& per_node_work) const;
-
  private:
   ClusterConfig config_;
-  CostModel cost_model_;
   /// Guards nodes_ growth (AddNode) against concurrent readers; the
   /// NodeController objects themselves are stable behind unique_ptr.
   mutable std::shared_mutex nodes_mu_;
@@ -131,9 +98,6 @@ class Cluster {
   std::unique_ptr<HealthMonitor> health_;
   runtime::PredeployedJobManager predeployed_;
   std::unique_ptr<runtime::TaskScheduler> cc_scheduler_;
-  /// Capped pool for virtual-time measurement steps (independent tasks only;
-  /// a capped pool must never run interdependent blocking tasks).
-  std::unique_ptr<runtime::TaskScheduler> host_pool_;
 };
 
 }  // namespace idea::cluster

@@ -85,13 +85,6 @@ Status ByteReader::GetDouble(double* out) {
   return Status::OK();
 }
 
-Status ByteReader::GetBytes(void* out, size_t n) {
-  if (pos_ + n > size_) return Status::Corruption("byte reader exhausted (bytes)");
-  std::memcpy(out, data_ + pos_, n);
-  pos_ += n;
-  return Status::OK();
-}
-
 uint64_t ZigZagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
 }

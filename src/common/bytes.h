@@ -50,7 +50,6 @@ class ByteReader {
   Status GetVarint64(uint64_t* out);
   Status GetString(std::string* out);
   Status GetDouble(double* out);
-  Status GetBytes(void* out, size_t n);
 
   size_t remaining() const { return size_ - pos_; }
   size_t position() const { return pos_; }

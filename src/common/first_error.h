@@ -1,7 +1,6 @@
 // Thread-safe first-error collector: many workers report, the first non-OK
-// Status wins and later ones are dropped. Replaces the hand-rolled
-// mutex+Status pairs that used to live in the job executor, the storage job,
-// and the Active Feed Manager.
+// Status wins and later ones are dropped. Used by TaskGroup, the intake and
+// storage jobs, and the Active Feed Manager.
 #pragma once
 
 #include <atomic>

@@ -1,13 +1,13 @@
-// Time accounting primitives for the cluster simulation.
+// Timers for the cluster simulation and the wall-clock production path.
 //
 // The paper's evaluation ran on a 24-node cluster; this repo runs on a small
-// container. The simulation executes *real* operator work but charges its
-// measured CPU time to per-node virtual clocks, so node-level parallelism is
-// accounted analytically while all computation still actually happens (see
-// DESIGN.md, "Hardware / platform substitutions").
+// container. FeedSimulation executes *real* operator work, measures its
+// thread CPU time, and spreads it over the simulated nodes through the cost
+// model, so node-level parallelism is accounted analytically while all
+// computation still actually happens (see DESIGN.md, "Hardware / platform
+// substitutions").
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 namespace idea {
@@ -27,8 +27,8 @@ class ThreadCpuTimer {
   int64_t start_ns_ = 0;
 };
 
-/// Wall-clock stopwatch (steady clock), used by the real-threads execution
-/// mode and the micro-benchmarks.
+/// Wall-clock stopwatch (steady clock), used by the feed jobs and the
+/// micro-benchmarks.
 class WallTimer {
  public:
   void Start();
@@ -36,20 +36,6 @@ class WallTimer {
 
  private:
   int64_t start_ns_ = 0;
-};
-
-/// A monotonically advancing simulated clock, one per simulated node.
-class VirtualClock {
- public:
-  double NowMicros() const { return now_us_; }
-  void Advance(double us) { now_us_ += us; }
-  /// Moves the clock forward to `us` if it is ahead of the current time
-  /// (waiting on an event that completes at `us`); never moves backwards.
-  void AdvanceTo(double us) { now_us_ = std::max(now_us_, us); }
-  void Reset() { now_us_ = 0; }
-
- private:
-  double now_us_ = 0;
 };
 
 }  // namespace idea

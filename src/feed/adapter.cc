@@ -4,10 +4,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstring>
 #include <fstream>
-#include <thread>
 
 namespace idea::feed {
 
@@ -98,24 +96,6 @@ void SocketAdapter::Stop() {
   // Shut down sockets to unblock accept()/read().
   if (conn_fd_ >= 0) ::shutdown(conn_fd_, SHUT_RDWR);
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-}
-
-RateLimitedAdapter::RateLimitedAdapter(std::unique_ptr<FeedAdapter> inner,
-                                       double records_per_second)
-    : inner_(std::move(inner)),
-      interval_us_(records_per_second > 0 ? 1e6 / records_per_second : 0) {}
-
-bool RateLimitedAdapter::Next(std::string* out) {
-  if (interval_us_ > 0) {
-    auto now = std::chrono::steady_clock::now().time_since_epoch();
-    int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(now).count();
-    if (next_due_us_ < 0) next_due_us_ = now_us;
-    if (now_us < next_due_us_) {
-      std::this_thread::sleep_for(std::chrono::microseconds(next_due_us_ - now_us));
-    }
-    next_due_us_ += static_cast<int64_t>(interval_us_);
-  }
-  return inner_->Next(out);
 }
 
 }  // namespace idea::feed

@@ -108,21 +108,4 @@ class SocketAdapter : public FeedAdapter {
   std::atomic<bool> stopped_{false};
 };
 
-/// Decorator that throttles an adapter to ~`records_per_second` (the
-/// reference-data update clients of paper §7.3).
-class RateLimitedAdapter : public FeedAdapter {
- public:
-  RateLimitedAdapter(std::unique_ptr<FeedAdapter> inner, double records_per_second);
-  bool Next(std::string* out) override;
-  void Stop() override { inner_->Stop(); }
-  std::string Describe() const override {
-    return "rate_limited(" + inner_->Describe() + ")";
-  }
-
- private:
-  std::unique_ptr<FeedAdapter> inner_;
-  double interval_us_;
-  int64_t next_due_us_ = -1;
-};
-
 }  // namespace idea::feed

@@ -156,34 +156,4 @@ std::string SnapshotExporter::SnapshotJsonLines(size_t max_traces) const {
   return out;
 }
 
-Status SnapshotExporter::OpenFile(const std::string& path) {
-  std::lock_guard<std::mutex> lock(file_mu_);
-  file_ = std::make_unique<std::ofstream>(path, std::ios::trunc);
-  if (!file_->good()) {
-    file_.reset();
-    return Status::Internal("cannot open metrics sink '" + path + "'");
-  }
-  return Status::OK();
-}
-
-Status SnapshotExporter::WriteNow() {
-  std::string line = RegistryJson();
-  std::lock_guard<std::mutex> lock(file_mu_);
-  if (file_ == nullptr) return Status::Internal("metrics sink not open");
-  *file_ << line << "\n";
-  file_->flush();
-  if (!file_->good()) return Status::Internal("metrics sink write failed");
-  return Status::OK();
-}
-
-bool SnapshotExporter::Tick(double now_us) {
-  {
-    std::lock_guard<std::mutex> lock(file_mu_);
-    if (file_ == nullptr || period_us_ <= 0) return false;
-    if (last_write_us_ >= 0 && now_us - last_write_us_ < period_us_) return false;
-    last_write_us_ = now_us;
-  }
-  return WriteNow().ok();
-}
-
 }  // namespace idea::obs

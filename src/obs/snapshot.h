@@ -1,7 +1,6 @@
 // SnapshotExporter: serializes a MetricsRegistry plus recent batch timelines
-// to JSON-lines, on demand (DumpMetricsJson / stdout) or periodically against
-// any monotonically advancing clock (wall or virtual — Tick takes the caller's
-// notion of "now").
+// to JSON-lines on demand (DumpMetricsJson / stdout). Periodic sampling is
+// TimeSeriesSampler's job (obs/timeseries.h).
 //
 // Line format (one JSON object per line):
 //   {"type":"metrics","ts_us":...,"counters":{...},
@@ -12,12 +11,8 @@
 //    "spans":[{"name":"intake.pull","node":0,"start_us":...,"dur_us":...}]}
 #pragma once
 
-#include <fstream>
-#include <memory>
-#include <mutex>
 #include <string>
 
-#include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -50,27 +45,9 @@ class SnapshotExporter {
   /// Registry line followed by the most recent `max_traces` trace lines.
   std::string SnapshotJsonLines(size_t max_traces = 32) const;
 
-  // --- periodic export -------------------------------------------------------
-
-  /// Opens (truncates) a JSONL sink for WriteNow/Tick.
-  Status OpenFile(const std::string& path);
-
-  /// Appends one registry snapshot line to the sink.
-  Status WriteNow();
-
-  /// Appends a snapshot when at least `period` has elapsed since the last
-  /// write, judged against the caller-supplied clock (e.g. a node's virtual
-  /// clock or obs::NowMicros()). Returns true when a line was written.
-  void SetPeriodMicros(double period) { period_us_ = period; }
-  bool Tick(double now_us);
-
  private:
   const MetricsRegistry* registry_;
   const Tracer* tracer_;
-  std::mutex file_mu_;
-  std::unique_ptr<std::ofstream> file_;
-  double period_us_ = 0;
-  double last_write_us_ = -1;
 };
 
 }  // namespace idea::obs

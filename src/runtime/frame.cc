@@ -6,40 +6,7 @@ namespace idea::runtime {
 
 void Frame::Append(const adm::Value& record) {
   offsets_.push_back(static_cast<uint32_t>(buf_.size()));
-  slot_begin_.push_back(static_cast<uint32_t>(slots_.size()));
-  if (record.IsObject()) {
-    // Serialize the object envelope inline so each field's byte extent is
-    // known as it is written. The emitted bytes are identical to
-    // adm::SerializeValue(record): tag, field count, then (name, value)*.
-    const adm::Fields& fields = record.AsObject();
-    buf_.PutU8(static_cast<uint8_t>(adm::ValueType::kObject));
-    buf_.PutVarint64(fields.size());
-    for (const auto& [name, val] : fields) {
-      buf_.PutString(name);
-      uint32_t name_off = static_cast<uint32_t>(buf_.size() - name.size());
-      uint32_t val_off = static_cast<uint32_t>(buf_.size());
-      adm::SerializeValue(val, &buf_);
-      slots_.push_back(FieldSlot{name_off, static_cast<uint32_t>(name.size()),
-                                 val_off, static_cast<uint32_t>(buf_.size())});
-    }
-  } else {
-    adm::SerializeValue(record, &buf_);
-  }
-}
-
-void Frame::AppendRecord(const RecordView& view) {
-  uint32_t base = static_cast<uint32_t>(buf_.size());
-  offsets_.push_back(base);
-  slot_begin_.push_back(static_cast<uint32_t>(slots_.size()));
-  std::span<const uint8_t> raw = view.raw();
-  buf_.PutBytes(raw.data(), raw.size());
-  // Rebase the source record's field index instead of re-deriving it.
-  uint32_t delta = base - view.begin_;
-  for (uint32_t s = view.slot_begin_; s < view.slot_end_; ++s) {
-    const FieldSlot& src = view.frame_->slots_[s];
-    slots_.push_back(FieldSlot{src.name_off + delta, src.name_len,
-                               src.val_off + delta, src.val_end + delta});
-  }
+  adm::SerializeValue(record, &buf_);
 }
 
 Status Frame::Decode(std::vector<adm::Value>* out) const {
@@ -51,14 +18,6 @@ Status Frame::Decode(std::vector<adm::Value>* out) const {
   }
   if (!reader.AtEnd()) return Status::Corruption("trailing bytes in frame");
   return Status::OK();
-}
-
-void Frame::Clear() {
-  buf_.Clear();
-  offsets_.clear();
-  slot_begin_.clear();
-  slots_.clear();
-  trace_id_ = 0;
 }
 
 Frame Frame::FromRecords(const std::vector<adm::Value>& records) {
@@ -79,36 +38,6 @@ RecordView::RecordView(const Frame* frame, size_t index) : frame_(frame) {
   end_ = index + 1 < frame->offsets_.size()
              ? frame->offsets_[index + 1]
              : static_cast<uint32_t>(frame->buf_.size());
-  slot_begin_ = frame->slot_begin_[index];
-  slot_end_ = index + 1 < frame->slot_begin_.size()
-                  ? frame->slot_begin_[index + 1]
-                  : static_cast<uint32_t>(frame->slots_.size());
-}
-
-bool RecordView::is_object() const {
-  return begin_ < end_ &&
-         frame_->buf_.data()[begin_] == static_cast<uint8_t>(adm::ValueType::kObject);
-}
-
-std::string_view RecordView::field_name(size_t j) const {
-  const Frame::FieldSlot& slot = frame_->slots_[slot_begin_ + j];
-  return {reinterpret_cast<const char*>(frame_->buf_.data()) + slot.name_off,
-          slot.name_len};
-}
-
-Result<adm::Value> RecordView::DecodeField(size_t j) const {
-  const Frame::FieldSlot& slot = frame_->slots_[slot_begin_ + j];
-  ByteReader reader(frame_->buf_.data() + slot.val_off, slot.val_end - slot.val_off);
-  IDEA_ASSIGN_OR_RETURN(adm::Value v, adm::DeserializeValue(&reader));
-  if (!reader.AtEnd()) return Status::Corruption("trailing bytes in field value");
-  return v;
-}
-
-Result<adm::Value> RecordView::DecodeFieldByName(std::string_view name) const {
-  for (size_t j = 0; j < field_count(); ++j) {
-    if (field_name(j) == name) return DecodeField(j);
-  }
-  return adm::Value::MakeMissing();
 }
 
 Result<adm::Value> RecordView::Decode() const {

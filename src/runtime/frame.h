@@ -1,20 +1,11 @@
 // Frames: the unit of data movement in the runtime. As in Hyracks, records
-// flow between operators and across jobs in byte frames holding multiple
-// serialized records.
-//
-// Zero-copy read path: alongside the payload bytes, Append maintains a
-// field-offset index over each object record's top-level fields (the
-// serialized object layout is a flat `name, value` sequence, so the offsets
-// fall out of serialization for free). FrameView / RecordView iterate the
-// serialized records in place and lazily materialize only the fields a
-// consumer actually touches; records that are merely forwarded hop between
-// frames as raw byte copies (AppendRecord) without ever being decoded into
-// adm::Value trees.
+// flow between jobs in byte frames holding multiple serialized records.
+// FrameView / RecordView iterate the serialized records in place, so a
+// consumer decodes one record at a time without copying the payload.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "adm/value.h"
@@ -28,12 +19,8 @@ class RecordView;
 
 class Frame {
  public:
-  /// Serializes and appends one record, indexing top-level fields of objects.
+  /// Serializes and appends one record.
   void Append(const adm::Value& record);
-
-  /// Appends a record from another frame as a raw byte copy (no decode); the
-  /// source view's field index is rebased and reused.
-  void AppendRecord(const RecordView& view);
 
   /// Deserializes all records in the frame (appends to `out`).
   Status Decode(std::vector<adm::Value>* out) const;
@@ -41,14 +28,12 @@ class Frame {
   /// Pre-sizes the frame for an expected record count / payload size.
   void Reserve(size_t records, size_t bytes) {
     offsets_.reserve(records);
-    slot_begin_.reserve(records);
     buf_.Reserve(bytes);
   }
 
   size_t record_count() const { return offsets_.size(); }
   size_t byte_size() const { return buf_.size(); }
   bool empty() const { return offsets_.empty(); }
-  void Clear();
 
   /// Pipeline-trace id of the batch this frame belongs to (obs::Tracer);
   /// 0 = untraced. Carried across the computing-job/storage-job boundary so
@@ -72,18 +57,8 @@ class Frame {
   friend class FrameView;
   friend class RecordView;
 
-  /// Byte extent of one serialized top-level field inside an object record.
-  struct FieldSlot {
-    uint32_t name_off;  // first byte of the field name (past the length varint)
-    uint32_t name_len;
-    uint32_t val_off;  // first byte of the serialized field value
-    uint32_t val_end;  // one past the last byte of the value
-  };
-
   ByteBuffer buf_;
-  std::vector<uint32_t> offsets_;     // start offset of each record
-  std::vector<uint32_t> slot_begin_;  // per record: first index into slots_
-  std::vector<FieldSlot> slots_;      // top-level field index, all records
+  std::vector<uint32_t> offsets_;  // start offset of each record
   uint64_t trace_id_ = 0;
   uint64_t lease_id_ = 0;
   size_t origin_partition_ = 0;
@@ -98,35 +73,16 @@ class RecordView {
     return {frame_->buf_.data() + begin_, end_ - begin_};
   }
 
-  /// True when the record is an ADM object (only objects carry a field index).
-  bool is_object() const;
-
-  /// Number of indexed top-level fields (0 for non-objects).
-  size_t field_count() const { return slot_end_ - slot_begin_; }
-
-  /// Name of the j-th top-level field, viewed in place.
-  std::string_view field_name(size_t j) const;
-
-  /// Materializes only the j-th top-level field's value.
-  Result<adm::Value> DecodeField(size_t j) const;
-
-  /// Materializes one top-level field by name; Missing when the record is not
-  /// an object or has no such field (first match wins, like Value::GetField).
-  Result<adm::Value> DecodeFieldByName(std::string_view name) const;
-
   /// Materializes the full record.
   Result<adm::Value> Decode() const;
 
  private:
-  friend class Frame;
   friend class FrameView;
   RecordView(const Frame* frame, size_t index);
 
   const Frame* frame_;
-  uint32_t begin_;       // record byte range in the frame payload
+  uint32_t begin_;  // record byte range in the frame payload
   uint32_t end_;
-  uint32_t slot_begin_;  // field-slot range in the frame index
-  uint32_t slot_end_;
 };
 
 /// Zero-copy iteration over a frame's records.
@@ -135,7 +91,6 @@ class FrameView {
   explicit FrameView(const Frame& frame) : frame_(&frame) {}
 
   size_t size() const { return frame_->record_count(); }
-  bool empty() const { return frame_->empty(); }
   RecordView operator[](size_t i) const { return RecordView(frame_, i); }
 
  private:

@@ -4,10 +4,10 @@
 //   * TaskScheduler — a named, demand-grown pool of persistent worker
 //     threads. Submitting a task never spawns a thread when an idle worker
 //     exists, so the steady state of a repeatedly-invoked job (the computing
-//     job's per-batch tasks, the executor's stage instances) runs entirely on
-//     recycled threads. The pool grows exactly when every worker is busy or
-//     blocked, which also makes interdependent blocking tasks (pipelined
-//     stage instances wired by bounded queues) deadlock-free. Each
+//     job's per-batch tasks) runs entirely on recycled threads. The pool
+//     grows exactly when every worker is busy or blocked, which also makes
+//     interdependent blocking tasks (intake loops, computing tasks and
+//     storage drains wired by bounded partition holders) deadlock-free. Each
 //     cluster::NodeController owns one pool; the Cluster Controller owns one
 //     for coordination work (feed drivers, invocation coordinators).
 //

@@ -254,14 +254,6 @@ ExprPtr MakeBinary(BinaryOp op, ExprPtr l, ExprPtr r) {
   return e;
 }
 
-ExprPtr MakeFunctionCall(std::string name, std::vector<ExprPtr> args) {
-  auto e = std::make_unique<Expr>();
-  e->kind = ExprKind::kFunctionCall;
-  e->fn_name = std::move(name);
-  e->args = std::move(args);
-  return e;
-}
-
 std::unique_ptr<SelectStatement> SelectStatement::Clone() const {
   auto out = std::make_unique<SelectStatement>();
   for (const auto& f : from) {

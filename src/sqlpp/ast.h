@@ -108,7 +108,6 @@ ExprPtr MakeLiteral(adm::Value v);
 ExprPtr MakeVarRef(std::string name);
 ExprPtr MakeFieldAccess(ExprPtr base, std::string field);
 ExprPtr MakeBinary(BinaryOp op, ExprPtr l, ExprPtr r);
-ExprPtr MakeFunctionCall(std::string name, std::vector<ExprPtr> args);
 
 /// FROM-item hints recognized by the access-path chooser.
 struct FromHints {

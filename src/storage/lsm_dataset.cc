@@ -407,9 +407,4 @@ size_t LsmDataset::ComponentCount() const {
   return components_.size();
 }
 
-size_t LsmDataset::MemTableBytes() const {
-  std::shared_lock lock(mu_);
-  return memtable_.ApproximateBytes();
-}
-
 }  // namespace idea::storage

@@ -160,7 +160,6 @@ class LsmDataset {
   DatasetStats stats() const;
   WalStats wal_stats() const;
   size_t ComponentCount() const;
-  size_t MemTableBytes() const;
 
  private:
   struct IndexSlot {

@@ -378,13 +378,6 @@ const UseCaseSpec& GetUseCase(UseCaseId id) {
   return AllUseCases()[static_cast<size_t>(id)];
 }
 
-const UseCaseSpec* FindUseCase(const std::string& name) {
-  for (const auto& uc : AllUseCases()) {
-    if (uc.name == name || uc.function_name == name) return &uc;
-  }
-  return nullptr;
-}
-
 Status LoadReferenceDataset(storage::Catalog* catalog, const std::string& dataset,
                             const RefSizes& sizes, size_t country_domain, uint64_t seed) {
   std::shared_ptr<storage::LsmDataset> ds = catalog->FindDataset(dataset);

@@ -35,8 +35,6 @@ struct UseCaseSpec {
 
 const std::vector<UseCaseSpec>& AllUseCases();
 const UseCaseSpec& GetUseCase(UseCaseId id);
-/// Lookup by name; nullptr when unknown.
-const UseCaseSpec* FindUseCase(const std::string& name);
 
 /// DDL for the tweet source/sink datasets (Figure 1, extended with the
 /// fields the UDFs touch).

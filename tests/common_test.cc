@@ -186,15 +186,6 @@ TEST(StringUtilTest, StringPrintfFormats) {
   EXPECT_EQ(StringPrintf("%05zu", static_cast<size_t>(42)), "00042");
 }
 
-TEST(VirtualClockTest, AdvancesMonotonically) {
-  VirtualClock clock;
-  clock.Advance(10);
-  clock.AdvanceTo(5);  // never goes backwards
-  EXPECT_DOUBLE_EQ(clock.NowMicros(), 10);
-  clock.AdvanceTo(30);
-  EXPECT_DOUBLE_EQ(clock.NowMicros(), 30);
-}
-
 TEST(TimersTest, MeasurePositiveTime) {
   ThreadCpuTimer cpu;
   cpu.Start();

@@ -61,7 +61,7 @@ Value RandomValue(Rng* rng, int depth) {
 }
 
 /// Random top-level record: mostly objects (the feed shape), with the
-/// occasional bare scalar/array to cover the non-indexed path.
+/// occasional bare scalar/array.
 Value RandomRecord(Rng* rng) {
   if (rng->NextBool(0.85)) {
     adm::Fields f;
@@ -111,75 +111,16 @@ TEST(FrameViewTest, FuzzRoundTripMatchesFullDecode) {
       auto full = rv.Decode();
       ASSERT_TRUE(full.ok());
       ExpectSameValue(*full, records[i]);
-
-      EXPECT_EQ(rv.is_object(), records[i].IsObject());
-      if (!records[i].IsObject()) {
-        EXPECT_EQ(rv.field_count(), 0u);
-        continue;
-      }
-      const adm::Fields& fields = records[i].AsObject();
-      ASSERT_EQ(rv.field_count(), fields.size());
-      for (size_t j = 0; j < fields.size(); ++j) {
-        EXPECT_EQ(rv.field_name(j), fields[j].first);
-        auto fv = rv.DecodeField(j);
-        ASSERT_TRUE(fv.ok());
-        ExpectSameValue(*fv, fields[j].second);
-        // By-name lookup mirrors Value::GetField (first match wins).
-        auto byname = rv.DecodeFieldByName(fields[j].first);
-        ASSERT_TRUE(byname.ok());
-        ExpectSameValue(*byname, records[i].GetFieldOrMissing(fields[j].first));
-      }
-      EXPECT_TRUE(rv.DecodeFieldByName("no-such-field-xx")->IsMissing());
     }
   }
 }
 
-TEST(FrameViewTest, AppendRecordForwardsBytesAndIndexIntact) {
-  Rng rng(0xF0F0F0F0ull);
-  std::vector<Value> records;
-  for (int i = 0; i < 64; ++i) records.push_back(RandomRecord(&rng));
-  Frame src = Frame::FromRecords(records);
-
-  // Re-route every record into two alternating frames, as the connectors do.
-  Frame a, b;
-  FrameView sv(src);
-  for (size_t i = 0; i < sv.size(); ++i) (i % 2 == 0 ? a : b).AppendRecord(sv[i]);
-
-  ASSERT_EQ(a.record_count() + b.record_count(), records.size());
-  for (size_t i = 0; i < records.size(); ++i) {
-    RecordView rv = FrameView(i % 2 == 0 ? a : b)[i / 2];
-    std::vector<uint8_t> expect = adm::SerializeToBytes(records[i]);
-    std::span<const uint8_t> raw = rv.raw();
-    ASSERT_EQ(std::vector<uint8_t>(raw.begin(), raw.end()), expect);
-    if (records[i].IsObject()) {
-      const adm::Fields& fields = records[i].AsObject();
-      ASSERT_EQ(rv.field_count(), fields.size());
-      for (size_t j = 0; j < fields.size(); ++j) {
-        EXPECT_EQ(rv.field_name(j), fields[j].first);
-        auto fv = rv.DecodeField(j);
-        ASSERT_TRUE(fv.ok());
-        ExpectSameValue(*fv, fields[j].second);
-      }
-    }
-  }
-
-  // Forwarded frames decode wholesale too.
-  std::vector<Value> out_a, out_b;
-  ASSERT_TRUE(a.Decode(&out_a).ok());
-  ASSERT_TRUE(b.Decode(&out_b).ok());
-  ASSERT_EQ(out_a.size() + out_b.size(), records.size());
-}
-
-TEST(FrameViewTest, EmptyAndClearedFrames) {
+TEST(FrameViewTest, EmptyFrames) {
   Frame f;
   EXPECT_TRUE(f.empty());
   EXPECT_EQ(FrameView(f).size(), 0u);
   f.Append(Value::MakeInt(7));
   EXPECT_EQ(f.record_count(), 1u);
-  EXPECT_FALSE(FrameView(f)[0].is_object());
-  f.Clear();
-  EXPECT_TRUE(f.empty());
-  EXPECT_EQ(f.byte_size(), 0u);
 }
 
 }  // namespace

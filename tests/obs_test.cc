@@ -478,29 +478,6 @@ TEST(SnapshotTest, JsonRoundTrip) {
   EXPECT_DOUBLE_EQ(spans->AsArray()[0].GetField("dur_us")->AsNumber(), 5.5);
 }
 
-TEST(SnapshotTest, PeriodicTickAgainstSuppliedClock) {
-  MetricsRegistry reg;
-  reg.GetCounter("idea.test.ticks")->Increment();
-  SnapshotExporter exporter(&reg);
-  std::string path = ::testing::TempDir() + "/obs_tick_test.jsonl";
-  ASSERT_TRUE(exporter.OpenFile(path).ok());
-  exporter.SetPeriodMicros(1000);
-  EXPECT_TRUE(exporter.Tick(0));      // first tick always writes
-  EXPECT_FALSE(exporter.Tick(500));   // within the period
-  EXPECT_TRUE(exporter.Tick(1500));
-  EXPECT_FALSE(exporter.Tick(1600));
-  EXPECT_TRUE(exporter.Tick(99999));
-  std::ifstream in(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    EXPECT_TRUE(adm::ParseJson(line).ok()) << line;
-    ++lines;
-  }
-  EXPECT_EQ(lines, 3);
-  std::remove(path.c_str());
-}
-
 TEST(RegistryTest, SnapshotListsAllMetrics) {
   MetricsRegistry reg;
   reg.GetCounter("c1")->Increment();

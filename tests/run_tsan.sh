@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Builds the tree under ThreadSanitizer and runs the concurrency-heavy test
-# binaries (runtime holders/executor, the worker-pool scheduler, the three-job
-# feed pipeline, the fault-injection machinery, the observability primitives,
-# the admin server / sampler / flight-recorder telemetry plane, and the LSM
-# dataset's batched writers against its readers). Usage:
+# binaries (runtime frames and partition holders, the worker-pool scheduler,
+# the three-job feed pipeline, the fault-injection machinery, the
+# observability primitives, the admin server / sampler / flight-recorder
+# telemetry plane, and the LSM dataset's batched writers against its
+# readers). Usage:
 #
 #   tests/run_tsan.sh [build-dir [test-binary...]]
 #

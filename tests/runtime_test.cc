@@ -3,9 +3,7 @@
 #include <thread>
 
 #include "adm/json.h"
-#include "runtime/connectors.h"
 #include "runtime/frame.h"
-#include "runtime/job_executor.h"
 #include "runtime/partition_holder.h"
 #include "runtime/predeployed.h"
 #include "storage/catalog.h"
@@ -39,179 +37,6 @@ TEST(FrameTest, FrameRecordsSplitsBySize) {
   size_t total = 0;
   for (const auto& f : frames) total += f.record_count();
   EXPECT_EQ(total, 100u);
-}
-
-TEST(FrameQueueTest, PushPopOrder) {
-  FrameQueue q(4);
-  Frame a;
-  a.Append(Rec(1, "a"));
-  ASSERT_TRUE(q.Push(std::move(a)).ok());
-  Frame out;
-  ASSERT_TRUE(q.Pop(&out));
-  EXPECT_EQ(out.record_count(), 1u);
-  EXPECT_EQ(q.records_pushed(), 1u);
-}
-
-TEST(FrameQueueTest, CloseDrainsThenEnds) {
-  FrameQueue q(4);
-  Frame a;
-  a.Append(Rec(1, "a"));
-  ASSERT_TRUE(q.Push(std::move(a)).ok());
-  q.Close();
-  Frame out;
-  EXPECT_TRUE(q.Pop(&out));   // drains remaining frame
-  EXPECT_FALSE(q.Pop(&out));  // then reports exhaustion
-  EXPECT_FALSE(q.Push(Frame()).ok());
-}
-
-TEST(FrameQueueTest, BlockingPushUnblocksOnPop) {
-  FrameQueue q(1);
-  ASSERT_TRUE(q.Push(Frame()).ok());
-  std::thread t([&] {
-    Frame f;
-    EXPECT_TRUE(q.Push(std::move(f)).ok());  // blocks until main pops
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  Frame out;
-  EXPECT_TRUE(q.Pop(&out));
-  t.join();
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(RouterTest, RoundRobinBalances) {
-  std::vector<std::shared_ptr<FrameQueue>> targets;
-  for (int i = 0; i < 3; ++i) targets.push_back(std::make_shared<FrameQueue>());
-  Router router(ConnectorType::kRoundRobin, targets, 0, nullptr, /*frame_bytes=*/1);
-  for (int i = 0; i < 99; ++i) ASSERT_TRUE(router.RouteRecord(Rec(i, "x")).ok());
-  ASSERT_TRUE(router.Flush().ok());
-  for (const auto& t : targets) EXPECT_EQ(t->records_pushed(), 33u);
-}
-
-TEST(RouterTest, HashIsConsistentByKey) {
-  std::vector<std::shared_ptr<FrameQueue>> targets;
-  for (int i = 0; i < 4; ++i) targets.push_back(std::make_shared<FrameQueue>());
-  KeyExtractor key = [](const Value& v) { return v.GetFieldOrMissing("country"); };
-  Router router(ConnectorType::kHashPartition, targets, 0, key, 1);
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_TRUE(router.RouteRecord(Rec(i, i % 2 == 0 ? "US" : "FR")).ok());
-  }
-  ASSERT_TRUE(router.Flush().ok());
-  // Each key lands in exactly one queue; two keys -> at most two queues used.
-  int used = 0;
-  for (const auto& t : targets) used += t->records_pushed() > 0 ? 1 : 0;
-  EXPECT_LE(used, 2);
-  uint64_t total = 0;
-  for (const auto& t : targets) total += t->records_pushed();
-  EXPECT_EQ(total, 40u);
-}
-
-TEST(RouterTest, BroadcastReachesAllTargets) {
-  std::vector<std::shared_ptr<FrameQueue>> targets;
-  for (int i = 0; i < 3; ++i) targets.push_back(std::make_shared<FrameQueue>());
-  Router router(ConnectorType::kBroadcast, targets, 0, nullptr, 1);
-  ASSERT_TRUE(router.RouteRecord(Rec(1, "x")).ok());
-  ASSERT_TRUE(router.Flush().ok());
-  for (const auto& t : targets) EXPECT_EQ(t->records_pushed(), 1u);
-}
-
-// Figure 2: SELECT t.country, COUNT(*) FROM Tweets t GROUP BY t.country as a
-// partitioned job: scan -> local group-by -> (hash) -> global group-by ->
-// collector.
-TEST(JobExecutorTest, Figure2GroupByJob) {
-  auto records = std::make_shared<std::vector<Value>>();
-  for (int i = 0; i < 300; ++i) {
-    records->push_back(Rec(i, i % 3 == 0 ? "US" : (i % 3 == 1 ? "FR" : "JP")));
-  }
-  auto output = std::make_shared<CollectorSink::Output>();
-
-  auto country_key = [](const Value& v) { return v.GetFieldOrMissing("country"); };
-  JobSpecification spec;
-  spec.name = "fig2";
-  spec.Source([&](const OperatorContext&) -> Result<std::unique_ptr<SourceOperator>> {
-    return std::unique_ptr<SourceOperator>(std::make_unique<VectorSource>(records));
-  });
-  spec.Stage("local-groupby", ConnectorType::kOneToOne,
-             [&](const OperatorContext&) -> Result<std::unique_ptr<Operator>> {
-               return std::unique_ptr<Operator>(std::make_unique<GroupByOperator>(
-                   "country", country_key,
-                   std::vector<AggSpec>{{"num", AggKind::kCount, nullptr}}));
-             });
-  spec.Stage("global-groupby", ConnectorType::kHashPartition,
-             [&](const OperatorContext&) -> Result<std::unique_ptr<Operator>> {
-               return std::unique_ptr<Operator>(std::make_unique<GroupByOperator>(
-                   "country", country_key,
-                   std::vector<AggSpec>{
-                       {"num", AggKind::kSum,
-                        [](const Value& v) { return v.GetFieldOrMissing("num"); }}}));
-             },
-             country_key);
-  spec.Stage("collector", ConnectorType::kOneToOne,
-             [&](const OperatorContext&) -> Result<std::unique_ptr<Operator>> {
-               return std::unique_ptr<Operator>(std::make_unique<CollectorSink>(output));
-             });
-
-  OperatorContext base;
-  JobExecutor executor(/*partitions=*/3, base);
-  auto stats = executor.Run(spec);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->source_records, 300u);
-  ASSERT_EQ(output->records.size(), 3u);
-  for (const auto& row : output->records) {
-    EXPECT_EQ(row.GetField("num")->AsInt(), 100);
-  }
-  EXPECT_EQ(spec.Describe(),
-            "fig2: source =(one-to-one)=> local-groupby =(hash-partition)=> "
-            "global-groupby =(one-to-one)=> collector");
-}
-
-TEST(JobExecutorTest, InsertJobWritesDataset) {
-  storage::Catalog catalog;
-  ASSERT_TRUE(catalog
-                  .CreateDatatype(adm::Datatype(
-                      "T", {{"id", adm::FieldType::kInt64, false}}))
-                  .ok());
-  ASSERT_TRUE(catalog.CreateDataset("Out", "T", "id").ok());
-  auto records = std::make_shared<std::vector<Value>>();
-  for (int i = 0; i < 50; ++i) records->push_back(Rec(i, "US"));
-
-  JobSpecification spec;
-  spec.name = "insert";
-  spec.Source([&](const OperatorContext&) -> Result<std::unique_ptr<SourceOperator>> {
-    return std::unique_ptr<SourceOperator>(std::make_unique<VectorSource>(records));
-  });
-  spec.Stage("insert", ConnectorType::kHashPartition,
-             [&](const OperatorContext&) -> Result<std::unique_ptr<Operator>> {
-               return std::unique_ptr<Operator>(
-                   std::make_unique<InsertOperator>(catalog.FindDataset("Out"), true));
-             },
-             [](const Value& v) { return v.GetFieldOrMissing("id"); });
-  OperatorContext base;
-  JobExecutor executor(2, base);
-  ASSERT_TRUE(executor.Run(spec).ok());
-  EXPECT_EQ(catalog.FindDataset("Out")->LiveRecordCount(), 50u);
-  EXPECT_GT(catalog.FindDataset("Out")->wal_stats().flushes, 0u);
-}
-
-TEST(JobExecutorTest, ErrorsPropagate) {
-  auto records = std::make_shared<std::vector<Value>>();
-  records->push_back(Rec(1, "x"));
-  JobSpecification spec;
-  spec.name = "failing";
-  spec.Source([&](const OperatorContext&) -> Result<std::unique_ptr<SourceOperator>> {
-    return std::unique_ptr<SourceOperator>(std::make_unique<VectorSource>(records));
-  });
-  spec.Stage("boom", ConnectorType::kOneToOne,
-             [&](const OperatorContext&) -> Result<std::unique_ptr<Operator>> {
-               return std::unique_ptr<Operator>(std::make_unique<TransformOperator>(
-                   [](const Value&) -> Result<Value> {
-                     return Status::Internal("kaboom");
-                   }));
-             });
-  OperatorContext base;
-  JobExecutor executor(2, base);
-  auto r = executor.Run(spec);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
 }
 
 TEST(PartitionHolderTest, IntakePullBatchBlocksUntilFull) {
