@@ -1,5 +1,5 @@
 // Figure 24: basic ingestion (no UDF) speed-up over cluster sizes 1-24.
-// Paper: 10M tweets; here: 20K (simulator scale; shapes, not absolutes).
+// Paper: 10M tweets; here: 20K (bench scale; shapes, not absolutes).
 //
 //   Static Ingestion              flat (parse coupled on one intake node)
 //   Balanced Static Ingestion     scales with nodes
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {std::to_string(nodes)};
     auto run = [&](const std::string& series, bool dynamic, bool balanced,
                    size_t batch_mult) {
-      feed::SimConfig config;
+      SimConfig config;
       config.nodes = nodes;
       config.dynamic = dynamic;
       config.balanced_intake = balanced;
@@ -53,14 +53,14 @@ int main(int argc, char** argv) {
       config.costs = BenchCosts();
       config.predeployed = !ablate_predeploy;
       config.fused_insert_job = ablate_fused;
-      feed::SimReport r = bench.Run(config);
+      SimReport r = bench.Run(config);
       row.push_back(Fmt(r.throughput_rps / 1000.0, "%.1f"));
       json.Add(series, config, r);
       return r;
     };
     run("Static", /*dynamic=*/false, /*balanced=*/false, 1);
     run("BalStatic", false, true, 1);
-    feed::SimReport d1 = run("Dyn-1X", true, false, 1);
+    SimReport d1 = run("Dyn-1X", true, false, 1);
     run("Dyn-4X", true, false, 4);
     run("Dyn-16X", true, false, 16);
     run("BalDyn-1X", true, true, 1);

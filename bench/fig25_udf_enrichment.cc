@@ -1,7 +1,7 @@
 // Figure 25: 1M-tweet enrichment throughput on 6 nodes, five use cases
 // (Safety Rating, Religious Population, Largest Religions, Fuzzy Suspects,
 // Nearby Monuments) x {Static-Java, Dynamic-Java 1X/4X/16X,
-// Dynamic-SQL++ 1X/4X/16X}. Here: 2K tweets (simulator scale).
+// Dynamic-SQL++ 1X/4X/16X}. Here: 3K tweets.
 //
 // Expected shapes: static (stale-state) enrichment is fastest except Nearby
 // Monuments, where the SQL++ R-tree index nested-loop join beats the Java
@@ -34,14 +34,13 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {uc.name};
     auto run = [&](const std::string& series, bool dynamic, bool native,
                    size_t batch_mult) {
-      feed::SimConfig config;
+      SimConfig config;
       config.nodes = kNodes;
       config.dynamic = dynamic;
       config.batch_size = kBatch1X * batch_mult;
       config.costs = BenchCosts();
       config.udf = native ? uc.native_udf : uc.function_name;
-      config.use_native = native;
-      feed::SimReport r = bench.Run(config);
+      SimReport r = bench.Run(config);
       row.push_back(Fmt(r.throughput_rps, "%.0f"));
       json.Add(uc.name + std::string("/") + series, config, r);
     };
@@ -55,16 +54,15 @@ int main(int argc, char** argv) {
     PrintRow(row, 16);
   }
 
-  // Single-node record-path acceptance: DynSQL-4X with every analytic cost
-  // adder zeroed, so the series measures CPU on the record path alone
-  // (parse -> frame -> enrich -> store). Directly comparable against the
-  // pre-refactor BENCH_fig25_prerefactor.json numbers.
-  PrintHeader("Single-node record path (zero-copy frames, batch eval)",
+  // Single-node record path: DynSQL-4X with every modelled cost zeroed and
+  // cpu_scale 1, so the series charges the engine's measured CPU alone
+  // (intake, parse -> enrich -> ship, decode -> apply).
+  PrintHeader("Single-node record path",
               "throughput in records/second, measured CPU only");
   PrintRow({"use case", "DynSQL-4X"}, 18);
   for (auto id : EvalUseCases()) {
     const auto& uc = workload::GetUseCase(id);
-    feed::SimConfig config;
+    SimConfig config;
     config.nodes = 1;
     config.dynamic = true;
     config.batch_size = kBatch4X;
@@ -78,8 +76,7 @@ int main(int argc, char** argv) {
     cm.intake_per_record_us = 0;
     config.costs = cm;
     config.udf = uc.function_name;
-    config.use_native = false;
-    feed::SimReport r = bench.Run(config);
+    SimReport r = bench.Run(config);
     json.Add(uc.name + std::string("/1node/DynSQL-4X-zerocopy"), config, r);
     PrintRow({uc.name, Fmt(r.throughput_rps, "%.0f")}, 18);
   }

@@ -26,35 +26,17 @@ int main(int argc, char** argv) {
     const auto& uc = workload::GetUseCase(id);
     std::vector<std::string> row = {uc.name};
     for (size_t mult : {1, 4, 16}) {
-      feed::SimConfig config;
+      SimConfig config;
       config.nodes = 6;
       config.batch_size = kBatch1X * mult;
       config.costs = BenchCosts();
       config.udf = uc.function_name;
-      feed::SimReport r = bench.Run(config);
+      SimReport r = bench.Run(config);
       row.push_back(Fmt(r.refresh_period_us / 1e6, "%.3f"));
       json.Add(uc.name + std::string("/") + std::to_string(mult) + "X", config, r);
     }
     PrintRow(row, 22);
   }
 
-  // Ablation: incremental intermediate-state maintenance off (every
-  // computing-job invocation pays the full snapshot/hash rebuild), 1X
-  // batches. The gap against the <case>/1X series above is the refresh-period
-  // saving of the delta/no-op paths.
-  PrintHeader("Ablation: full rebuild per invocation (delta refresh off, 1X)",
-              "seconds per computing-job invocation");
-  for (auto id : EvalUseCases()) {
-    const auto& uc = workload::GetUseCase(id);
-    feed::SimConfig config;
-    config.nodes = 6;
-    config.batch_size = kBatch1X;
-    config.costs = BenchCosts();
-    config.udf = uc.function_name;
-    config.delta_refresh = false;
-    feed::SimReport r = bench.Run(config);
-    PrintRow({uc.name, Fmt(r.refresh_period_us / 1e6, "%.3f")}, 22);
-    json.Add(uc.name + std::string("/1X-full-rebuild"), config, r);
-  }
   return 0;
 }

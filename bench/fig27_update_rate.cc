@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     const auto& uc = workload::GetUseCase(id);
     std::vector<std::string> row = {uc.name};
     for (double rate : rates) {
-      feed::SimConfig config;
+      SimConfig config;
       config.nodes = 6;
       config.batch_size = kBatch1X;
       config.costs = BenchCosts();
@@ -78,32 +78,11 @@ int main(int argc, char** argv) {
       config.update_rate = rate * 50;  // preserve updates-per-batch at 1:50 time compression
       config.update_dataset_size = UpdateDatasetSize(bench.sizes(), id);
       config.country_domain = bench.country_domain();
-      feed::SimReport r = bench.Run(config);
+      SimReport r = bench.Run(config);
       row.push_back(Fmt(r.throughput_rps, "%.0f"));
       json.Add(uc.name + std::string("/") + Fmt(rate, "%.0f") + "ups", config, r);
     }
-    // Ablation at a representative mid rate (100 upd/s): delta refresh off,
-    // so every invocation rebuilds its intermediate state from scratch. The
-    // gap against <case>/100ups is the update-rate-resilience the
-    // incremental maintenance buys.
-    {
-      const double rate = 100;
-      feed::SimConfig config;
-      config.nodes = 6;
-      config.batch_size = kBatch1X;
-      config.costs = BenchCosts();
-      config.udf = uc.function_name;
-      config.update_dataset = UpdateDatasetFor(id);
-      config.update_rate = rate * 50;
-      config.update_dataset_size = UpdateDatasetSize(bench.sizes(), id);
-      config.country_domain = bench.country_domain();
-      config.delta_refresh = false;
-      feed::SimReport r = bench.Run(config);
-      row.push_back(Fmt(r.throughput_rps, "%.0f") + "*");
-      json.Add(uc.name + std::string("/100ups-full-rebuild"), config, r);
-    }
     PrintRow(row, 16);
   }
-  std::printf("(* = 100 upd/s with delta refresh disabled)\n");
   return 0;
 }

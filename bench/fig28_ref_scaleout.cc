@@ -34,12 +34,12 @@ int main(int argc, char** argv) {
       options.ref_scale = scale;
       options.tweets = 2000;
       SimBench bench(options);
-      feed::SimConfig config;
+      SimConfig config;
       config.nodes = nodes;
       config.batch_size = kBatch16X;
       config.costs = BenchCosts();
       config.udf = uc.function_name;
-      feed::SimReport r = bench.Run(config);
+      SimReport r = bench.Run(config);
       row.push_back(Fmt(r.throughput_rps, "%.0f"));
       json.Add(uc.name + std::string("/") + std::to_string(nodes) + "n", config, r);
     }

@@ -27,12 +27,12 @@ int main(int argc, char** argv) {
     const auto& uc = workload::GetUseCase(id);
     std::vector<std::string> row = {uc.name};
     for (size_t mult : {1, 4, 16}) {
-      feed::SimConfig config;
+      SimConfig config;
       config.nodes = 6;
       config.batch_size = kBatch1X * mult;
       config.costs = BenchCosts();
       config.udf = uc.function_name;
-      feed::SimReport r = bench.Run(config);
+      SimReport r = bench.Run(config);
       row.push_back(Fmt(r.throughput_rps, "%.0f"));
       json.Add(uc.name + std::string("/") + std::to_string(mult) + "X", config, r);
     }

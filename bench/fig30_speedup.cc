@@ -33,12 +33,12 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {uc.name};
     for (size_t mult : {1, 4, 16}) {
       auto throughput = [&](size_t nodes) {
-        feed::SimConfig config;
+        SimConfig config;
         config.nodes = nodes;
         config.batch_size = kBatch1X * mult;
         config.costs = BenchCosts();
         config.udf = uc.function_name;
-        feed::SimReport r = bench.Run(config);
+        SimReport r = bench.Run(config);
         json.Add(uc.name + std::string("/") + std::to_string(mult) + "X/" +
                      std::to_string(nodes) + "n",
                  config, r);

@@ -47,12 +47,12 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {c.label};
     std::vector<double> values;
     for (size_t nodes : node_counts) {
-      feed::SimConfig config;
+      SimConfig config;
       config.nodes = nodes;
       config.batch_size = kBatch16X;
       config.costs = BenchCosts();
       config.udf = c.fn;
-      feed::SimReport r = bench.Run(config);
+      SimReport r = bench.Run(config);
       values.push_back(r.throughput_rps);
       row.push_back(Fmt(r.throughput_rps, "%.0f"));
       json.Add(c.label + "/" + std::to_string(nodes) + "n", config, r);

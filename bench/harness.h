@@ -1,8 +1,12 @@
 // Shared harness for the figure-reproduction benches: sets up a catalog with
 // the tweet schema, a chosen set of use cases (DDL + UDFs + reference data +
-// native resources), pre-generates the tweet stream, and runs FeedSimulation
-// configurations. Counts are scaled down from the paper (documented per
-// bench); shapes, not absolute numbers, are the reproduction target.
+// native resources) and a pre-generated tweet stream, then runs each
+// configuration on the production engine — a fresh cluster::Cluster with the
+// figure's node count, driven by an ActiveFeedManager through the intake,
+// computing and storage jobs — and charges the engine's measured task CPU
+// through the cost model (cluster::ChargeRun) to get the N-node time. Counts
+// are scaled down from the paper (documented per bench); shapes, not
+// absolute numbers, are the reproduction target.
 #pragma once
 
 #include <cinttypes>
@@ -14,14 +18,19 @@
 #include <vector>
 
 #include "adm/json.h"
-#include "feed/simulation.h"
+#include "cluster/cluster_controller.h"
+#include "cluster/cost_model.h"
+#include "feed/active_feed_manager.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
 #include "obs/tracer.h"
+#include "sqlpp/analyzer.h"
+#include "sqlpp/enrichment_plan.h"
 #include "sqlpp/parser.h"
 #include "workload/native_udfs.h"
 #include "workload/reference_data.h"
 #include "workload/tweets.h"
+#include "workload/update_client.h"
 #include "workload/usecases.h"
 
 namespace idea::bench {
@@ -87,6 +96,43 @@ inline workload::RefSizes ComplexBenchSizes() {
   return s;
 }
 
+/// One figure-bench configuration: how the engine runs, plus the accounting
+/// choices the cost model applies to the run.
+struct SimConfig {
+  size_t nodes = 6;
+  size_t batch_size = 420;  // records per computing-job invocation (1X)
+  bool dynamic = true;      // false: charge the run as the static pipeline
+  bool balanced_intake = false;
+  bool predeployed = true;        // ablation: compile_us per invocation
+  bool fused_insert_job = false;  // ablation: single insert job (§5.1, pre-§5.2)
+  std::string udf;                // SQL++ name or native "lib#name"; "" = none
+  cluster::CostModelConfig costs;
+
+  // Reference-update client (Figure 27): upserts per wall-clock second
+  // against `update_dataset` while the feed runs (0 = no updates).
+  std::string update_dataset;
+  double update_rate = 0;
+  size_t update_dataset_size = 0;
+  size_t country_domain = 500;
+};
+
+/// The cost model's charge for one run (cluster::RunCharge), plus counts.
+struct SimReport {
+  uint64_t records = 0;
+  double makespan_us = 0;
+  double throughput_rps = 0;
+  uint64_t computing_jobs = 0;    // 0 under static accounting
+  double refresh_period_us = 0;   // mean modelled invocation time (Fig 26)
+  double intake_us = 0;
+  double compute_us = 0;
+  double storage_us = 0;
+  // Modelled per-invocation time distribution (dynamic accounting only).
+  double batch_p50_us = 0;
+  double batch_p95_us = 0;
+  double batch_p99_us = 0;
+  double batch_max_us = 0;
+};
+
 /// One catalog + UDF registry prepared for a set of use cases.
 class SimBench {
  public:
@@ -121,30 +167,150 @@ class SimBench {
         RegisterFunction(workload::NaiveNearbyMonumentsFunctionDdl());
       }
     }
-    raw_ = *workload::TweetGenerator::GenerateJson(
+    raw_ = workload::TweetGenerator::GenerateJson(
         options.tweets,
         {.seed = options.seed + 1, .country_domain = options.country_domain});
-    tweet_type_ = catalog_.FindDatatype("TweetType");
   }
 
-  /// Runs one configuration into a fresh target dataset.
-  feed::SimReport Run(feed::SimConfig config) {
-    std::string target = "Out" + std::to_string(next_target_++);
+  /// Runs one configuration on a fresh cluster into a fresh target dataset
+  /// and charges it through the cost model. Exits unless every tweet is
+  /// stored.
+  SimReport Run(const SimConfig& config) {
+    // Registry series are process-cumulative: one feed name per run.
+    static int runs = 0;
+    const std::string feed_name = "run" + std::to_string(runs++);
+    const std::string target = "Out" + feed_name;
     Check(catalog_.CreateDataset(target, "TweetType", "id"), "create target dataset");
-    feed::FeedSimulation sim(&catalog_, &udfs_);
-    auto report = sim.Run(config, raw_, target, tweet_type_);
-    feed::SimReport out = CheckResult(std::move(report), "simulation run");
+    std::shared_ptr<const sqlpp::SqlppFunctionDef> sqlpp_udf = SqlppUdf(config.udf);
+    if (sqlpp_udf != nullptr && !config.dynamic &&
+        sqlpp::AnalyzeFunctionBody(*sqlpp_udf->body, sqlpp_udf->params).stateful) {
+      // The paper's static pipeline rejects these (§4.3.4).
+      std::fprintf(stderr,
+                   "FATAL: stateful SQL++ UDF '%s' cannot run on the static pipeline\n",
+                   config.udf.c_str());
+      std::exit(1);
+    }
+    cluster::Accounting how;
+    how.nodes = config.nodes;
+    how.dynamic = config.dynamic;
+    how.balanced_intake = config.balanced_intake;
+    how.predeployed = config.predeployed;
+    how.fused_insert_job = config.fused_insert_job;
+    how.broadcast = sqlpp_udf != nullptr && ProbesIndexNestedLoop(sqlpp_udf);
+
+    {
+      cluster::ClusterConfig cc;
+      cc.nodes = config.nodes;
+      cluster::Cluster cluster(cc);
+      feed::ActiveFeedManager afm(&cluster, &catalog_, &udfs_);
+      std::unique_ptr<workload::UpdateClient> updates;
+      if (config.update_rate > 0) {
+        updates = std::make_unique<workload::UpdateClient>(
+            &catalog_, config.update_dataset, config.update_dataset_size,
+            config.country_domain, config.update_rate);
+        Check(updates->Start(), "start update client");
+      }
+      feed::ActiveFeedManager::StartArgs args;
+      args.config.name = feed_name;
+      args.config.type_name = "TweetType";
+      args.config.batch_size = config.batch_size;
+      args.config.balanced_intake = config.balanced_intake;
+      args.connection.dataset = target;
+      args.connection.apply_function = config.udf;
+      args.adapter_factory = feed::MakeVectorAdapterFactory(raw_);
+      Check(afm.StartFeed(std::move(args)), "start feed");
+      feed::FeedRuntimeStats stats = CheckResult(afm.WaitForFeedStats(feed_name), "run feed");
+      if (updates != nullptr) {
+        updates->Stop();
+        Check(updates->first_error(), "update client");
+      }
+      const size_t stored = catalog_.FindDataset(target)->LiveRecordCount();
+      if (stats.records_ingested != raw_->size() || stored != raw_->size()) {
+        std::fprintf(stderr, "FATAL (run %s): stored %zu of %zu tweets\n",
+                     feed_name.c_str(), stored, raw_->size());
+        std::exit(1);
+      }
+    }
+    const cluster::RunCharge c =
+        cluster::ChargeRun(ReadTaskTotals(feed_name), config.costs, how);
+    SimReport report;
+    report.records = raw_->size();
+    report.makespan_us = c.makespan_us;
+    report.throughput_rps = c.throughput_rps;
+    report.computing_jobs =
+        config.dynamic ? ReadCounter("idea.compute." + feed_name + ".invocations") : 0;
+    report.refresh_period_us = c.refresh_period_us;
+    report.intake_us = c.intake_us;
+    report.compute_us = c.compute_us;
+    report.storage_us = c.storage_us;
+    report.batch_p50_us = c.batch_p50_us;
+    report.batch_p95_us = c.batch_p95_us;
+    report.batch_p99_us = c.batch_p99_us;
+    report.batch_max_us = c.batch_max_us;
     Check(catalog_.DropDataset(target), "drop target dataset");
-    return out;
+    return report;
   }
 
-  storage::Catalog& catalog() { return catalog_; }
-  const feed::UdfRegistry& udfs() const { return udfs_; }
   const workload::RefSizes& sizes() const { return sizes_; }
-  const std::vector<std::string>& raw_tweets() const { return raw_; }
   size_t country_domain() const { return options_.country_domain; }
 
  private:
+  /// The SQL++ definition of `udf`; null for none or a native UDF.
+  std::shared_ptr<const sqlpp::SqlppFunctionDef> SqlppUdf(const std::string& udf) const {
+    if (udf.empty() || udfs_.HasNative(udf)) return nullptr;
+    std::shared_ptr<const sqlpp::SqlppFunctionDef> def = udfs_.FindSqlppShared(udf);
+    if (def == nullptr) {
+      std::fprintf(stderr, "FATAL: unknown function '%s'\n", udf.c_str());
+      std::exit(1);
+    }
+    return def;
+  }
+
+  /// Whether the UDF's plan probes an index nested loop, which broadcasts
+  /// every tweet to all nodes (§7.4.2).
+  bool ProbesIndexNestedLoop(std::shared_ptr<const sqlpp::SqlppFunctionDef> def) {
+    storage::CatalogAccessor accessor(&catalog_, /*cache=*/true);
+    std::unique_ptr<sqlpp::EnrichmentPlan> plan = CheckResult(
+        sqlpp::EnrichmentPlan::Compile(def, &accessor, &udfs_), "compile UDF");
+    for (const auto& c : plan->choices()) {
+      if (c.kind == sqlpp::AccessPathKind::kIndexNestedLoopEq ||
+          c.kind == sqlpp::AccessPathKind::kIndexNestedLoopSpatial) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  static uint64_t ReadCounter(const std::string& name) {
+    return obs::MetricsRegistry::Default().GetCounter(name)->value();
+  }
+
+  /// The run's task totals, from the engine's per-feed registry series.
+  static cluster::TaskTotals ReadTaskTotals(const std::string& feed) {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+    const std::string compute = "idea.compute." + feed + ".";
+    const std::string storage = "idea.storage." + feed + ".";
+    auto sum = [&](const std::string& name) { return reg.GetHistogram(name)->sum(); };
+    cluster::TaskTotals t;
+    t.records = ReadCounter(storage + "records");
+    t.invocations = ReadCounter(compute + "invocations");
+    t.frames = ReadCounter(storage + "frames");
+    t.ship_bytes = static_cast<double>(ReadCounter(compute + "ship_bytes"));
+    t.adapter_cpu_us = sum("idea.intake." + feed + ".adapter_cpu_us");
+    t.parse_cpu_us = sum(compute + "parse_cpu_us");
+    t.enrich_cpu_us = sum(compute + "enrich_cpu_us");
+    t.ship_cpu_us = sum(compute + "ship_cpu_us");
+    const obs::Histogram* critical = reg.GetHistogram(compute + "critical_cpu_us");
+    t.critical_cpu_us = critical->sum();
+    t.critical_p50_us = critical->Percentile(0.50);
+    t.critical_p95_us = critical->Percentile(0.95);
+    t.critical_p99_us = critical->Percentile(0.99);
+    t.critical_max_us = critical->max();
+    t.decode_cpu_us = sum(storage + "decode_cpu_us");
+    t.apply_cpu_us = sum(storage + "apply_cpu_us");
+    return t;
+  }
+
   static std::string MakeResourceDir() {
     std::string dir = "/tmp/idea_bench_resources";
     (void)::system(("mkdir -p " + dir).c_str());
@@ -191,9 +357,7 @@ class SimBench {
   storage::Catalog catalog_;
   feed::UdfRegistry udfs_;
   std::string resource_dir_;
-  std::vector<std::string> raw_;
-  const adm::Datatype* tweet_type_ = nullptr;
-  int next_target_ = 0;
+  std::shared_ptr<const std::vector<std::string>> raw_;
 };
 
 /// The §7.2 evaluation set (cases 1-5).
@@ -214,7 +378,7 @@ inline std::vector<workload::UseCaseId> ComplexUseCases() {
 /// Writes one JSON object per bench data point to BENCH_<fig>.json in the
 /// working directory (JSON lines, same convention as obs::SnapshotExporter).
 /// Each row carries the run configuration plus throughput, refresh period,
-/// and the simulated per-batch latency percentiles.
+/// the modelled per-batch latency percentiles, and each layer's charge.
 class BenchJsonWriter {
  public:
   explicit BenchJsonWriter(const std::string& fig)
@@ -225,7 +389,6 @@ class BenchJsonWriter {
   }
   ~BenchJsonWriter() {
     if (file_ != nullptr) {
-      AddSchedulerStats();
       std::fclose(file_);
       std::printf("\nwrote %s\n", path_.c_str());
     }
@@ -233,38 +396,22 @@ class BenchJsonWriter {
   BenchJsonWriter(const BenchJsonWriter&) = delete;
   BenchJsonWriter& operator=(const BenchJsonWriter&) = delete;
 
-  void Add(const std::string& series, const feed::SimConfig& config,
-           const feed::SimReport& r) {
+  void Add(const std::string& series, const SimConfig& config, const SimReport& r) {
     if (file_ == nullptr) return;
     std::fprintf(
         file_,
         "{\"series\":%s,\"nodes\":%zu,\"batch_size\":%zu,\"records\":%" PRIu64
         ",\"makespan_us\":%.3f,\"throughput_rps\":%.3f,\"computing_jobs\":%" PRIu64
         ",\"refresh_period_us\":%.3f,\"batch_p50_us\":%.3f,\"batch_p95_us\":%.3f,"
-        "\"batch_p99_us\":%.3f,\"batch_max_us\":%.3f}\n",
+        "\"batch_p99_us\":%.3f,\"batch_max_us\":%.3f,\"intake_us\":%.3f,"
+        "\"compute_us\":%.3f,\"storage_us\":%.3f}\n",
         adm::JsonQuote(series).c_str(), config.nodes, config.batch_size, r.records,
         r.makespan_us, r.throughput_rps, r.computing_jobs, r.refresh_period_us,
-        r.batch_p50_us, r.batch_p95_us, r.batch_p99_us, r.batch_max_us);
+        r.batch_p50_us, r.batch_p95_us, r.batch_p99_us, r.batch_max_us, r.intake_us,
+        r.compute_us, r.storage_us);
   }
 
  private:
-  /// Final row: scheduling statistics of the shared "sim" worker pool every
-  /// simulated batch ran on (one task per computing-job invocation), so each
-  /// BENCH_*.json also records the execution substrate's behaviour.
-  void AddSchedulerStats() {
-    auto& reg = obs::MetricsRegistry::Default();
-    std::fprintf(
-        file_,
-        "{\"series\":\"scheduler\",\"pool\":\"sim\",\"tasks_run\":%" PRIu64
-        ",\"tasks_failed\":%" PRIu64 ",\"queue_depth_hwm\":%" PRId64
-        ",\"queue_wait_p95_us\":%.3f,\"task_run_p95_us\":%.3f}\n",
-        reg.GetCounter("idea.sched.sim.tasks_run")->value(),
-        reg.GetCounter("idea.sched.sim.tasks_failed")->value(),
-        reg.GetGauge("idea.sched.sim.queue_depth")->high_watermark(),
-        reg.GetHistogram("idea.sched.sim.queue_wait_us")->Percentile(0.95),
-        reg.GetHistogram("idea.sched.sim.task_run_us")->Percentile(0.95));
-  }
-
   std::string path_;
   std::FILE* file_;
 };

@@ -1,11 +1,11 @@
-// Cluster Controller (CC) / simulated cluster. One CC coordinates N Node
+// Cluster Controller (CC) / in-process cluster. One CC coordinates N Node
 // Controllers (paper §6.1): it starts jobs, tracks feeds (via the Active
 // Feed Manager in src/feed), and owns the predeployed-job cache.
 //
-// Every partitioned task runs on the persistent worker pool of its node and
-// is timed in wall-clock time. `ClusterConfig::mode` is not read by any code:
-// the virtual-time reproduction of the paper's figures is FeedSimulation's
-// (src/feed/simulation.h), which runs without a Cluster.
+// Every partitioned task runs on the persistent worker pool of its node, in
+// one process. `ClusterConfig::mode` is not read by any code. The figure
+// benches run this cluster at the paper's node counts and turn the tasks'
+// measured CPU into N-node time with cluster/cost_model.h.
 //
 // Execution substrate: every NodeController owns a persistent
 // runtime::TaskScheduler, and the CC owns one more ("cc") for coordination

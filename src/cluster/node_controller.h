@@ -1,4 +1,4 @@
-// Node Controller (NC): per-node state of the simulated cluster — its
+// Node Controller (NC): per-node state of the in-process cluster — its
 // partition-holder manager, its persistent task scheduler (paper §6.1: every
 // worker node runs an NC that takes computing tasks from the CC), and its
 // memory governor (admission control over memtables + enrichment hash builds,

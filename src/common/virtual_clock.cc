@@ -14,8 +14,8 @@ int64_t NowNanos(clockid_t clock) {
 // Some sandboxed kernels quantize CPU-time clocks to scheduler ticks (10ms),
 // which is useless for measuring sub-millisecond batches. Probe the
 // effective granularity once; fall back to CLOCK_MONOTONIC when coarse
-// (timed sections in the simulator run undisturbed on their own core, so
-// wall time tracks CPU time closely there).
+// (wall time tracks CPU time closely for a task that runs undisturbed on its
+// own core; with more runnable threads than cores it overstates CPU time).
 bool ProbeCpuClockUsable() {
   int64_t prev = NowNanos(CLOCK_THREAD_CPUTIME_ID);
   volatile uint64_t sink = 0;

@@ -1,11 +1,11 @@
-// Timers for the cluster simulation and the wall-clock production path.
+// Timers for the production path.
 //
 // The paper's evaluation ran on a 24-node cluster; this repo runs on a small
-// container. FeedSimulation executes *real* operator work, measures its
-// thread CPU time, and spreads it over the simulated nodes through the cost
-// model, so node-level parallelism is accounted analytically while all
-// computation still actually happens (see DESIGN.md, "Hardware / platform
-// substitutions").
+// host. The feed jobs time every task's thread CPU (idea.*.<feed>.*_cpu_us),
+// and the figure benches turn those times into N-node time through the cost
+// model (cluster/cost_model.h), so node-level parallelism is accounted
+// analytically while all computation still actually happens (see DESIGN.md,
+// "Hardware / platform substitutions").
 #pragma once
 
 #include <cstdint>
@@ -13,8 +13,8 @@
 namespace idea {
 
 /// Measures CPU time consumed by the *calling thread* between Start() and
-/// ElapsedMicros(). Immune to wall-clock contention when simulated nodes are
-/// multiplexed onto few physical cores. On kernels that quantize CPU-time
+/// ElapsedMicros(). Immune to wall-clock contention when many nodes' tasks
+/// are multiplexed onto few physical cores. On kernels that quantize CPU-time
 /// clocks to scheduler ticks (some sandboxes), falls back to the monotonic
 /// clock (probed once at first use).
 class ThreadCpuTimer {

@@ -1,8 +1,7 @@
 // Feed adapters: obtain/receive data from external sources as raw records
 // (paper §2.3 — "an adapter, which obtains/receives data from an external
-// data source as raw bytes"). Parsing happens downstream: coupled with the
-// adapter in the legacy static pipeline, decoupled into computing jobs in
-// the new framework.
+// data source as raw bytes"). Parsing happens downstream, in the computing
+// jobs (the paper's static pipeline coupled it with the adapter instead).
 #pragma once
 
 #include <atomic>

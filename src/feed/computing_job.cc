@@ -1,5 +1,6 @@
 #include "feed/computing_job.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -103,9 +104,16 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
                                                   const std::vector<size_t>* pmap) {
   const size_t nodes = cluster->node_count();
   // Partition layout: p lives on node pmap[p] (identity when null, the
-  // pre-HA fixed binding). The batch quota is split across partitions.
+  // pre-HA fixed binding). The batch quota is split across partitions; the
+  // remainder's extra records rotate over the partitions with the ticket, so
+  // an invocation pulls exactly batch_size records whenever batch_size >=
+  // partitions (below that, one record per partition).
   const size_t partitions = pmap != nullptr ? pmap->size() : nodes;
-  const size_t quota = std::max<size_t>(1, config.batch_size / partitions);
+  auto quota = [&](size_t p) -> size_t {
+    if (config.batch_size < partitions) return 1;
+    return config.batch_size / partitions +
+           ((p + ticket) % partitions < config.batch_size % partitions ? 1 : 0);
+  };
   cluster->predeployed().RecordInvocation(JobId(feed_name));
 
   obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.compute." + feed_name);
@@ -119,6 +127,14 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
   obs::Counter* validation_errors_metric = scope.Counter("validation_errors");
   obs::Counter* skipped_metric = scope.Counter("records_skipped");
   obs::Counter* retries_metric = scope.Counter("retries");
+  // Thread CPU per partition task and stage, the input of the figure benches'
+  // cost model (cluster/cost_model.h).
+  obs::Histogram* parse_cpu_us = scope.Histogram("parse_cpu_us");
+  obs::Histogram* init_cpu_us = scope.Histogram("init_cpu_us");
+  obs::Histogram* enrich_cpu_us = scope.Histogram("enrich_cpu_us");
+  obs::Histogram* ship_cpu_us = scope.Histogram("ship_cpu_us");
+  obs::Histogram* critical_cpu_us = scope.Histogram("critical_cpu_us");
+  obs::Counter* ship_bytes_metric = scope.Counter("ship_bytes");
 
   obs::Tracer& tracer = obs::Tracer::Default();
   const uint64_t trace_id = tracer.StartTrace(feed_name);
@@ -128,7 +144,12 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
   std::atomic<uint64_t> records_in{0}, records_out{0}, parse_errors{0},
       validation_errors{0}, records_skipped{0}, dead_letters{0}, retries{0};
   std::atomic<size_t> exhausted_nodes{0};
+  std::atomic<uint64_t> ship_bytes{0};
   std::vector<std::vector<obs::Span>> node_spans(partitions);
+  struct TaskCpu {
+    double parse = 0, init = 0, enrich = 0, ship = 0;
+  };
+  std::vector<TaskCpu> task_cpu(partitions);
   runtime::TaskGroup group;
 
   for (size_t p = 0; p < partitions; ++p) {
@@ -151,6 +172,8 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
         spans.push_back(obs::Span{name, static_cast<int>(p), start_us,
                                   obs::NowMicros() - start_us});
       };
+      TaskCpu& cpu = task_cpu[p];
+      ThreadCpuTimer cpu_timer;
       auto run = [&]() -> Status {
         // Liveness probe: the node.kill fault site fires here, modeling this
         // partition's node dying before its task does any work.
@@ -184,7 +207,7 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
         std::vector<std::string> raw;
         uint64_t lease = 0;
         double t0 = obs::NowMicros();
-        if (!intake->PullBatch(quota, &raw, config.ha_failover ? &lease : nullptr)) {
+        if (!intake->PullBatch(quota(p), &raw, config.ha_failover ? &lease : nullptr)) {
           // A poisoned (relocated) holder reports kUnavailable — that is a
           // failover signal, not exhaustion.
           Status herr = intake->first_error();
@@ -206,6 +229,7 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
         parsed.reserve(raw.size());
         origin.reserve(raw.size());
         t0 = obs::NowMicros();
+        cpu_timer.Start();
         for (size_t i = 0; i < raw.size(); ++i) {
           const std::string& r = raw[i];
           Status reject = IDEA_FAULT_HIT_KEYED("compute.parse", r);
@@ -230,6 +254,7 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
             records_skipped.fetch_add(1, std::memory_order_relaxed);
           }
         }
+        cpu.parse = cpu_timer.ElapsedMicros();
         span("compute.parse", t0);
         // UDF evaluator: refresh intermediate state, then enrich. This is
         // the Model-2 refresh point — updates committed before this line are
@@ -256,6 +281,8 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
         };
         auto refresh = [&]() -> Status {
           double init_start = obs::NowMicros();
+          ThreadCpuTimer init_timer;
+          init_timer.Start();
           IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("compute.init"));
           if (artifact->plan != nullptr) {
             artifact->accessor->BeginEpoch();
@@ -273,23 +300,13 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
           }
           span("compute.init", init_start);
           init_us->Record(obs::NowMicros() - init_start);
+          cpu.init += init_timer.ElapsedMicros();
           return Status::OK();
         };
         auto enrich_one = [&](const adm::Value& rec) -> Result<adm::Value> {
           IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("compute.udf"));
           if (artifact->plan != nullptr) return artifact->plan->EnrichOne(rec);
           return artifact->native->Evaluate(sqlpp::ArgView(&rec, 1));
-        };
-        // Batch arena scope around a record-at-a-time EnrichOne loop:
-        // evaluator temporaries live for the batch and are recycled wholesale.
-        struct BatchScope {
-          sqlpp::EnrichmentPlan* plan;
-          explicit BatchScope(sqlpp::EnrichmentPlan* p) : plan(p) {
-            if (plan != nullptr) plan->BeginBatch();
-          }
-          ~BatchScope() {
-            if (plan != nullptr) plan->EndBatch();
-          }
         };
         std::vector<adm::Value> enriched;
         if (artifact->plan == nullptr && artifact->native == nullptr) {
@@ -298,12 +315,14 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
           auto enrich_batch = [&](std::vector<adm::Value>* out) -> Status {
             IDEA_RETURN_NOT_OK(refresh());
             double e0 = obs::NowMicros();
+            ThreadCpuTimer enrich_timer;
+            enrich_timer.Start();
             out->reserve(parsed.size());
-            BatchScope scope(artifact->plan.get());
             for (const auto& rec : parsed) {
               IDEA_ASSIGN_OR_RETURN(adm::Value v, enrich_one(rec));
               out->push_back(std::move(v));
             }
+            cpu.enrich += enrich_timer.ElapsedMicros();
             span("compute.enrich", e0);
             run_us->Record(obs::NowMicros() - e0);
             return Status::OK();
@@ -340,7 +359,8 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
               return refreshed;
             }
             enriched.reserve(parsed.size());
-            BatchScope salvage_scope(artifact->plan.get());
+            ThreadCpuTimer salvage_timer;
+            salvage_timer.Start();
             for (size_t k = 0; k < parsed.size(); ++k) {
               Status rec_status;
               uint32_t attempt = 0;
@@ -368,6 +388,7 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
                 }
               }
             }
+            cpu.enrich += salvage_timer.ElapsedMicros();
           }
         }
         records_out.fetch_add(enriched.size(), std::memory_order_relaxed);
@@ -381,15 +402,18 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
         IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("compute.ship"));
         IDEA_RETURN_NOT_OK(cluster->CheckAlive(node));
         t0 = obs::NowMicros();
+        cpu_timer.Start();
         size_t frames_shipped = 0;
         for (auto& frame : runtime::FrameRecords(enriched, config.frame_bytes)) {
           frame.set_trace_id(trace_id);
           frame.set_lease_id(lease);
           frame.set_origin_partition(p);
+          ship_bytes.fetch_add(frame.byte_size(), std::memory_order_relaxed);
           IDEA_RETURN_NOT_OK(storage_holder->Push(std::move(frame)));
           ++frames_shipped;
         }
         if (lease != 0) intake->CloseLease(lease, frames_shipped);
+        cpu.ship = cpu_timer.ElapsedMicros();
         span("compute.ship", t0);
         return Status::OK();
       };
@@ -429,6 +453,16 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
     for (auto& spans : node_spans) {
       for (auto& s : spans) tracer.AddSpan(trace_id, std::move(s));
     }
+    double critical = 0;
+    for (const TaskCpu& cpu : task_cpu) {
+      parse_cpu_us->Record(cpu.parse);
+      init_cpu_us->Record(cpu.init);
+      enrich_cpu_us->Record(cpu.enrich);
+      ship_cpu_us->Record(cpu.ship);
+      critical = std::max(critical, cpu.parse + cpu.init + cpu.enrich + cpu.ship);
+    }
+    critical_cpu_us->Record(critical);
+    ship_bytes_metric->Add(ship_bytes.load());
     invocations->Increment();
     invocation_us->Record(out.wall_micros);
     records_in_metric->Add(out.records_in);

@@ -92,7 +92,9 @@ class ComputingJob {
 
   /// Runs one invocation: per-partition tasks on the hosting nodes' schedulers
   /// (partition p on node pmap[p]; null = identity over the node count), each
-  /// pulling up to ceil(batch_size / partitions) records. With a sequencer,
+  /// pulling its share of batch_size records (see FeedConfig::batch_size).
+  /// Each task's thread CPU per stage goes to the idea.compute.<feed>.*_cpu_us
+  /// histograms. With a sequencer,
   /// `ticket` is this invocation's position in the feed's pipeline; concurrent
   /// RunOnce calls may then overlap while pulls and ships stay ticket-ordered.
   /// Failure handling follows config.on_error / config.max_retries; under the

@@ -40,7 +40,10 @@ struct FeedConfig {
   std::string name;
   std::string type_name;       // datatype used for parsing/validation
   std::string format = "JSON"; // "JSON" | "delimited-text"
-  size_t batch_size = 420;     // records per computing-job invocation (1X)
+  /// Records per computing-job invocation (1X), split evenly over the
+  /// partitions. Below one record per partition, an invocation pulls one
+  /// record per partition instead.
+  size_t batch_size = 420;
   /// false: one intake node (node 0). true: "balanced" — every node runs an
   /// adapter (paper §7.1's Balanced variants).
   bool balanced_intake = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/fault_injection.h"
+#include "common/virtual_clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -47,13 +48,17 @@ Status IntakeJob::Start(const AdapterFactory& factory, const FeedConfig& config,
   obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.intake." + feed_name_);
   obs::Counter* adapter_records = scope.Counter("adapter_records");
   obs::Counter* read_errors = scope.Counter("read_errors");
+  obs::Histogram* adapter_cpu_us = scope.Histogram("adapter_cpu_us");
   const OnError on_error = config.on_error;
   for (size_t i = 0; i < adapters_.size(); ++i) {
     // Adapter i lives on its intake node's pool: one intake node for the
     // default single-adapter feed, every node when balanced.
     runtime::TaskScheduler* pool = &cluster_->node(i % nodes).scheduler();
     Status launched = adapter_tasks_.Launch(
-        pool, [this, i, adapter_records, read_errors, on_error, dlq]() -> Status {
+        pool, [this, i, adapter_records, read_errors, adapter_cpu_us, on_error,
+               dlq]() -> Status {
+          ThreadCpuTimer cpu_timer;
+          cpu_timer.Start();
           FeedAdapter* adapter = adapters_[i].get();
           // Partitioner (Figure 23): spread records evenly so the (possibly
           // expensive) attached UDF parallelizes well; offset the rotation
@@ -88,6 +93,7 @@ Status IntakeJob::Start(const AdapterFactory& factory, const FeedConfig& config,
             records_.fetch_add(1, std::memory_order_relaxed);
             adapter_records->Increment();
           }
+          adapter_cpu_us->Record(cpu_timer.ElapsedMicros());
           // Last adapter out marks EOF on every holder (paper §6.1).
           if (live_adapters_.fetch_sub(1) == 1) {
             std::shared_lock<std::shared_mutex> lock(slots_mu_);

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/fault_injection.h"
+#include "common/virtual_clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -38,6 +39,8 @@ Status StorageJob::Start(const std::vector<size_t>* pmap) {
   }
   obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.storage." + feed_name_);
   store_us_ = scope.Histogram("store_us");
+  decode_cpu_us_ = scope.Histogram("decode_cpu_us");
+  apply_cpu_us_ = scope.Histogram("apply_cpu_us");
   commit_us_ = scope.Histogram("commit_us");
   frames_stored_ = scope.Counter("frames");
   records_metric_ = scope.Counter("records");
@@ -128,6 +131,8 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
             // first failed hit, and records whose hit already passed when an
             // earlier record of the run failed keep it for the next run.
             double t0 = obs::NowMicros();
+            ThreadCpuTimer cpu_timer;
+            cpu_timer.Start();
             records.clear();
             Status decoded;
             for (size_t i = 0; i < view.size(); ++i) {
@@ -138,6 +143,8 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
               }
               records.push_back(std::move(*rec));
             }
+            const double decode_cpu = cpu_timer.ElapsedMicros();
+            cpu_timer.Start();
             const size_t n = records.size();
             size_t i = 0;        // next record to store
             size_t hit_end = 0;  // records [i, hit_end) passed storage.apply
@@ -179,6 +186,8 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
               }
             }
             IDEA_RETURN_NOT_OK(decoded);
+            apply_cpu_us_->Record(cpu_timer.ElapsedMicros());
+            decode_cpu_us_->Record(decode_cpu);
             double t1 = obs::NowMicros();
             store_us_->Record(t1 - t0);
             tracer.AddSpan(frame.trace_id(), obs::Span{"storage.store",

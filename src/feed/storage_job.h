@@ -128,6 +128,8 @@ class StorageJob {
 
   // Shared drain metrics (created in Start, used by every drain loop).
   obs::Histogram* store_us_ = nullptr;
+  obs::Histogram* decode_cpu_us_ = nullptr;  // thread CPU per frame, by phase
+  obs::Histogram* apply_cpu_us_ = nullptr;
   obs::Histogram* commit_us_ = nullptr;
   obs::Counter* frames_stored_ = nullptr;
   obs::Counter* records_metric_ = nullptr;

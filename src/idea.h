@@ -24,8 +24,6 @@
 #include "feed/active_feed_manager.h"  // IWYU pragma: export
 #include "feed/adapter.h"      // IWYU pragma: export
 #include "feed/feed.h"         // IWYU pragma: export
-#include "feed/simulation.h"   // IWYU pragma: export
-#include "feed/static_pipeline.h"  // IWYU pragma: export
 #include "feed/udf.h"          // IWYU pragma: export
 #include "instance/instance.h" // IWYU pragma: export
 #include "sqlpp/enrichment_plan.h"  // IWYU pragma: export

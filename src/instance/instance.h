@@ -1,6 +1,6 @@
 // idea::Instance — the embedded entry point, playing the role AsterixDB's
 // Cluster Controller plays for users: it accepts SQL++ statements (DDL, DML,
-// queries, feed control) and manages the catalog, UDF registry, simulated
+// queries, feed control) and manages the catalog, UDF registry, in-process
 // cluster, and Active Feed Manager of one system instance.
 #pragma once
 

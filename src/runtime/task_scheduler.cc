@@ -4,9 +4,8 @@
 
 namespace idea::runtime {
 
-TaskScheduler::TaskScheduler(std::string name, size_t max_workers,
-                             obs::MetricsRegistry* registry)
-    : name_(std::move(name)), max_workers_(max_workers == 0 ? 1 : max_workers) {
+TaskScheduler::TaskScheduler(std::string name, obs::MetricsRegistry* registry)
+    : name_(std::move(name)) {
   if (registry == nullptr) registry = &obs::MetricsRegistry::Default();
   obs::Scope scope(registry, "idea.sched." + name_);
   tasks_run_ = scope.Counter("tasks_run");
@@ -15,8 +14,6 @@ TaskScheduler::TaskScheduler(std::string name, size_t max_workers,
   workers_gauge_ = scope.Gauge("workers");
   queue_wait_us_ = scope.Histogram("queue_wait_us");
   task_run_us_ = scope.Histogram("task_run_us");
-  base_tasks_run_ = tasks_run_->value();
-  base_tasks_failed_ = tasks_failed_->value();
 }
 
 TaskScheduler::~TaskScheduler() { Stop(); }
@@ -32,7 +29,7 @@ Status TaskScheduler::Submit(std::function<void()> fn) {
   // (parked or about to re-check the queue) or being spawned for it. Idle
   // workers may be claimed by earlier submissions that they have not woken
   // up for yet, so compare against the queue depth, not just idle_ == 0.
-  if (idle_ < queue_.size() && workers_.size() < max_workers_) {
+  if (idle_ < queue_.size()) {
     workers_.emplace_back(&TaskScheduler::WorkerLoop, this);
     workers_gauge_->Set(static_cast<int64_t>(workers_.size()));
   }
@@ -82,28 +79,11 @@ size_t TaskScheduler::worker_count() const {
   return workers_.size();
 }
 
-SchedulerStats TaskScheduler::Stats() const {
-  SchedulerStats s;
-  s.tasks_run = tasks_run_->value() - base_tasks_run_;
-  s.tasks_failed = tasks_failed_->value() - base_tasks_failed_;
-  s.queue_depth_high_watermark = queue_depth_->high_watermark();
-  s.queue_wait_p95_us = queue_wait_us_->Percentile(0.95);
-  s.task_run_p95_us = task_run_us_->Percentile(0.95);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    s.workers = workers_.size();
-    s.queue_depth = queue_.size();
-  }
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // TaskGroup
 // ---------------------------------------------------------------------------
 
-TaskGroup::TaskGroup(bool cancel_on_first_error) : state_(std::make_shared<State>()) {
-  state_->cancel_on_first_error = cancel_on_first_error;
-}
+TaskGroup::TaskGroup() : state_(std::make_shared<State>()) {}
 
 TaskGroup::~TaskGroup() { (void)Wait(); }
 
@@ -115,15 +95,10 @@ Status TaskGroup::Launch(TaskScheduler* scheduler, std::function<Status()> fn) {
   std::shared_ptr<State> state = state_;
   Status submitted =
       scheduler->Submit([state, scheduler, fn = std::move(fn)]() mutable {
-        if (!state->cancelled.load(std::memory_order_acquire)) {
-          Status st = fn();
-          if (!st.ok()) {
-            scheduler->NoteTaskFailed();
-            state->error.Set(st);
-            if (state->cancel_on_first_error) {
-              state->cancelled.store(true, std::memory_order_release);
-            }
-          }
+        Status st = fn();
+        if (!st.ok()) {
+          scheduler->NoteTaskFailed();
+          state->error.Set(st);
         }
         std::lock_guard<std::mutex> lock(state->mu);
         if (--state->pending == 0) state->cv.notify_all();
@@ -140,12 +115,6 @@ Status TaskGroup::Wait() {
   state_->cv.wait(lock, [&] { return state_->pending == 0; });
   lock.unlock();
   return state_->error.Get();
-}
-
-void TaskGroup::Cancel() { state_->cancelled.store(true, std::memory_order_release); }
-
-bool TaskGroup::cancelled() const {
-  return state_->cancelled.load(std::memory_order_acquire);
 }
 
 // ---------------------------------------------------------------------------

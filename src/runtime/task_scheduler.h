@@ -13,10 +13,7 @@
 //
 //   * TaskGroup — a join scope over tasks launched on one or more
 //     schedulers: Wait() blocks until every task finished and returns the
-//     first error (common::FirstError semantics). Optionally cancels the
-//     group on first error: tasks not yet started are then skipped. Only
-//     groups of *independent* tasks should enable cancel-on-error — skipping
-//     a task that a sibling blocks on would deadlock the sibling.
+//     first error (common::FirstError semantics).
 //
 //   * Turnstile — a ticket line used by pipelined computing invocations
 //     (AFM Model-3-style overlap): Wait(t) blocks until tickets 0..t-1 have
@@ -32,7 +29,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,33 +41,15 @@
 
 namespace idea::runtime {
 
-/// Per-pool statistics view (counters relative to a construction-time
-/// baseline, like HolderStats, so one scheduler instance sees only its own
-/// traffic even though the registry series are process-cumulative).
-struct SchedulerStats {
-  uint64_t tasks_run = 0;
-  uint64_t tasks_failed = 0;
-  size_t workers = 0;           // live worker threads
-  size_t queue_depth = 0;       // tasks waiting for a worker
-  int64_t queue_depth_high_watermark = 0;  // registry-lifetime high watermark
-  double queue_wait_p95_us = 0;            // registry-lifetime distribution
-  double task_run_p95_us = 0;
-};
-
 class TaskScheduler {
  public:
-  /// `max_workers` caps pool growth; tasks beyond the cap queue until a
-  /// worker frees up. Only pools running *independent* tasks may be capped
-  /// (a capped pool can deadlock on interdependent blocking tasks).
-  explicit TaskScheduler(std::string name,
-                         size_t max_workers = std::numeric_limits<size_t>::max(),
-                         obs::MetricsRegistry* registry = nullptr);
+  explicit TaskScheduler(std::string name, obs::MetricsRegistry* registry = nullptr);
   ~TaskScheduler();
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
   /// Enqueues a task. Spawns a new persistent worker only when no idle
-  /// worker can take it (and the cap allows). Fails after Stop().
+  /// worker can take it. Fails after Stop().
   Status Submit(std::function<void()> fn);
 
   /// Drains queued tasks, then joins every worker. Idempotent; called by the
@@ -80,7 +58,6 @@ class TaskScheduler {
 
   const std::string& name() const { return name_; }
   size_t worker_count() const;
-  SchedulerStats Stats() const;
 
   /// Bumps the pool's failed-task counter (called by TaskGroup when a task
   /// returns a non-OK status).
@@ -95,17 +72,14 @@ class TaskScheduler {
   void WorkerLoop();
 
   const std::string name_;
-  const size_t max_workers_;
 
-  // Registry series (cached pointers) + construction-time baselines.
+  // Registry series (cached pointers).
   obs::Counter* tasks_run_ = nullptr;
   obs::Counter* tasks_failed_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
   obs::Gauge* workers_gauge_ = nullptr;
   obs::Histogram* queue_wait_us_ = nullptr;
   obs::Histogram* task_run_us_ = nullptr;
-  uint64_t base_tasks_run_ = 0;
-  uint64_t base_tasks_failed_ = 0;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -118,10 +92,7 @@ class TaskScheduler {
 /// Join scope + first-error propagation over tasks launched on schedulers.
 class TaskGroup {
  public:
-  /// With `cancel_on_first_error`, tasks that have not started when a
-  /// sibling fails are skipped (their status is not recorded). Use only for
-  /// independent tasks.
-  explicit TaskGroup(bool cancel_on_first_error = false);
+  TaskGroup();
   ~TaskGroup();
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
@@ -130,22 +101,15 @@ class TaskGroup {
   /// (and runs nothing) if the scheduler is stopping.
   Status Launch(TaskScheduler* scheduler, std::function<Status()> fn);
 
-  /// Blocks until every launched task finished (or was skipped); returns the
-  /// first error reported by any task.
+  /// Blocks until every launched task finished; returns the first error
+  /// reported by any task.
   Status Wait();
-
-  /// Marks the group cancelled: not-yet-started tasks are skipped. Running
-  /// tasks are not interrupted (check `cancelled()` cooperatively).
-  void Cancel();
-  bool cancelled() const;
 
  private:
   struct State {
     std::mutex mu;
     std::condition_variable cv;
     size_t pending = 0;
-    std::atomic<bool> cancelled{false};
-    bool cancel_on_first_error = false;
     common::FirstError error;
   };
   std::shared_ptr<State> state_;

@@ -781,26 +781,13 @@ Result<adm::Value> EnrichmentPlan::EnrichOne(const adm::Value& record) {
   return result;
 }
 
-void EnrichmentPlan::BeginBatch() { evaluator_->BeginBatch(&batch_arena_); }
-
-void EnrichmentPlan::EndBatch() {
-  evaluator_->EndBatch();
-  batch_arena_.Reset();
-}
-
 Status EnrichmentPlan::EnrichBatch(const std::vector<adm::Value>& batch,
                                    adm::Array* out) {
-  BeginBatch();
   out->reserve(out->size() + batch.size());
   for (const auto& rec : batch) {
-    auto v = EnrichOne(rec);
-    if (!v.ok()) {
-      EndBatch();
-      return v.status();
-    }
-    out->push_back(std::move(v).value());
+    IDEA_ASSIGN_OR_RETURN(adm::Value v, EnrichOne(rec));
+    out->push_back(std::move(v));
   }
-  EndBatch();
   return Status::OK();
 }
 

@@ -13,10 +13,11 @@
 //   * snapshot scan        (naive nested loop; also the /*+ skip-index */
 //                           hinted plan used for "Naive Nearby Monuments").
 //
-// Initialize() refreshes all per-job state; the dynamic ingestion framework
-// calls it once per computing-job invocation, while the legacy static
-// pipeline calls it exactly once — reproducing the staleness difference the
-// paper measures.
+// Initialize() refreshes all per-job state; the computing job calls it once
+// per invocation, which gives the dynamic framework its Model-2 freshness.
+// The paper's static pipeline would call it exactly once and enrich against
+// stale state; this repo has no such engine (the figure benches charge a
+// static run by accounting, see cluster/cost_model.h).
 //
 // Refresh is incremental: hash builds and snapshots are cached across
 // invocations keyed by the reference dataset's mutation sequence
@@ -42,7 +43,7 @@ namespace idea::sqlpp {
 /// Planner configuration.
 struct PlanConfig {
   /// Hash-join build budget; a build above this is recorded as a spill
-  /// (paper §4.3.4 Case 2). The build still completes in this simulator —
+  /// (paper §4.3.4 Case 2). The build still completes in this reproduction —
   /// Model 2 joins are per-batch and finite — but the flag is surfaced.
   size_t max_hash_build_bytes = 64ull << 20;
   /// Allow the planner to pick index nested-loop joins when an index exists.
@@ -133,16 +134,9 @@ class EnrichmentPlan {
   /// single-row result collection. Requires a prior Initialize().
   Result<adm::Value> EnrichOne(const adm::Value& record);
 
-  /// Enriches a batch in order, appending to `out`. Runs under a batch
-  /// arena scope: evaluator temporaries are bump-allocated for the lifetime
-  /// of the batch and recycled wholesale afterwards.
+  /// Enriches a batch in order with EnrichOne, appending to `out`; stops at
+  /// the first failing record.
   Status EnrichBatch(const std::vector<adm::Value>& batch, adm::Array* out);
-
-  /// Opens/closes a batch arena scope around a caller-driven EnrichOne loop
-  /// (the computing job enriches record-at-a-time but batch-at-a-call).
-  /// EnrichBatch manages its own scope; do not nest.
-  void BeginBatch();
-  void EndBatch();
 
   /// Independent instance over the same compiled form (per-partition use).
   std::unique_ptr<EnrichmentPlan> Fork() const;
@@ -170,7 +164,6 @@ class EnrichmentPlan {
   std::vector<std::unique_ptr<PathImpl>> paths_;
   AccessPathMap path_map_;
   std::unique_ptr<Evaluator> evaluator_;
-  adm::Arena batch_arena_;  // batch-lifetime scratch (see BeginBatch)
   PlanStats stats_;
   // idea.eval.<udf>.* registry mirrors (shared across forks of the plan).
   obs::Histogram* init_us_ = nullptr;

@@ -70,7 +70,6 @@ bool ContainsAggregate(const Expr& e) {
 }
 
 std::vector<Value>* Evaluator::AcquireValueVec() {
-  if (batch_arena_ != nullptr) return batch_arena_->AcquireValueVec();
   if (value_vec_depth_ == value_vec_pool_.size()) value_vec_pool_.emplace_back();
   std::vector<Value>* v = &value_vec_pool_[value_vec_depth_++];
   v->clear();
@@ -78,10 +77,6 @@ std::vector<Value>* Evaluator::AcquireValueVec() {
 }
 
 void Evaluator::ReleaseValueVec(std::vector<Value>* v) {
-  if (batch_arena_ != nullptr) {
-    batch_arena_->ReleaseValueVec(v);
-    return;
-  }
   v->clear();  // drop held values eagerly; capacity is retained
   --value_vec_depth_;
 }

@@ -13,8 +13,7 @@
 // (variables, field/index chains, literals) evaluate through EvalRef, which
 // returns borrowed pointers instead of deep-copying Value trees; comparisons,
 // arithmetic, probe keys, and `alias.*` projections all go through it. UDF
-// argument vectors and FROM candidate lists come from per-Evaluator pools
-// (optionally backed by a batch adm::Arena via BeginBatch/EndBatch), and
+// argument vectors and FROM candidate lists come from per-Evaluator pools, and
 // field accesses memoize the field's position per AST node, verified by name
 // before use. All of this is allocation plumbing: results are bit-identical
 // to naive recursive evaluation.
@@ -30,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "adm/arena.h"
 #include "adm/value.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -288,13 +286,6 @@ class Evaluator {
   Result<adm::Value> CallSqlppFunction(const SqlppFunctionDef& def, ArgView args,
                                        Env* env);
 
-  /// Batch scope: while active, pooled evaluation scratch (argument vectors,
-  /// aggregate item lists) is drawn from `arena` so a whole frame's worth of
-  /// records shares one warmed-up allocation pool. Purely a lifetime
-  /// optimization — results are bit-identical with or without a batch scope.
-  void BeginBatch(adm::Arena* arena) { batch_arena_ = arena; }
-  void EndBatch() { batch_arena_ = nullptr; }
-
   const EvalContext& context() const { return ctx_; }
   EvalStats& stats() { return stats_; }
 
@@ -383,8 +374,7 @@ class Evaluator {
   };
 
   // Pooled scratch vectors, LIFO by recursion depth (deques keep addresses
-  // stable while nested calls grow the pool). When a batch arena is armed,
-  // argument vectors come from it instead.
+  // stable while nested calls grow the pool).
   std::vector<adm::Value>* AcquireValueVec();
   void ReleaseValueVec(std::vector<adm::Value>* v);
   std::vector<const adm::Value*>* AcquireCandidateVec();
@@ -411,7 +401,6 @@ class Evaluator {
   std::vector<GroupContext> group_stack_;
   int depth_ = 0;
 
-  adm::Arena* batch_arena_ = nullptr;
   std::deque<std::vector<adm::Value>> value_vec_pool_;
   size_t value_vec_depth_ = 0;
   std::deque<std::vector<const adm::Value*>> candidate_pool_;

@@ -63,7 +63,6 @@ Status Wal::Append(const WalRecord& rec) {
   if (file_ != nullptr) {
     file_->write(reinterpret_cast<const char*>(framed.data()),
                  static_cast<std::streamsize>(framed.size()));
-    pending_.insert(pending_.end(), framed.data(), framed.data() + framed.size());
     if (!file_->good()) return Status::Internal("WAL write failed");
   }
   buffer_.insert(buffer_.end(), framed.data(), framed.data() + framed.size());
@@ -78,7 +77,6 @@ Status Wal::Flush() {
   if (file_ != nullptr) {
     file_->flush();
     if (!file_->good()) return Status::Internal("WAL flush failed");
-    pending_.clear();
   }
   ++stats_.flushes;
   stats_.unflushed_bytes = 0;

@@ -32,9 +32,11 @@ struct WalStats {
   uint64_t unflushed_bytes = 0;
 };
 
-/// Append-only log. In file mode the log is written to disk and flushed with
-/// fflush+fdatasync semantics (std::ofstream::flush); in buffer mode the log
-/// lives in memory (benchmarks that only need the flush *cost accounting*).
+/// Append-only log. Every dataset's log lives in memory, which keeps every
+/// logged byte for the dataset's lifetime; ReadAll() reads that copy. File
+/// mode (OpenFile, reached only from tests) also writes the records to a file
+/// and Flush() calls std::ofstream::flush(), which hands the bytes to the OS
+/// but does not fdatasync them, so a flushed record is not crash-durable.
 class Wal {
  public:
   /// In-memory log.
@@ -54,8 +56,7 @@ class Wal {
 
  private:
   mutable std::mutex mu_;
-  std::vector<uint8_t> buffer_;       // in-memory mode: the whole log
-  std::vector<uint8_t> pending_;      // file mode: bytes since last flush
+  std::vector<uint8_t> buffer_;  // the whole log, in both modes
   std::unique_ptr<std::ofstream> file_;
   std::string path_;
   WalStats stats_;

@@ -1,8 +1,9 @@
 // Native UDFs: C++ stand-ins for the paper's Java UDFs. Each stateful one
 // loads a local resource file during Initialize() (Figure 7's
 // keyword-list-loading Java UDF) and keeps the loaded structures as its
-// intermediate state — initialized once on the static pipeline (stale
-// thereafter) and re-initialized per computing job on the dynamic framework.
+// intermediate state, re-initialized per computing-job invocation on every
+// node. (The paper's static pipeline initializes it once and keeps it stale;
+// the figure benches charge that case by accounting, cluster/cost_model.h.)
 //
 // Registered names:
 //   testlib#removeSpecial      stateless screen-name cleaner (Figure 35)

@@ -33,7 +33,7 @@ struct RefSizes {
   size_t attack_events = 5000;
 
   /// Uniformly scales every size by `factor` (floor 1). The benches use this
-  /// both to shrink the workload to simulator scale and for the paper's
+  /// both to shrink the workload to bench scale and for the paper's
   /// reference-data scale-out sweep (Figure 28: 1X..4X).
   RefSizes Scaled(double factor) const;
 };

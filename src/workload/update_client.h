@@ -1,8 +1,7 @@
-// Update client: drives reference-data updates into a dataset, either as a
-// wall-clock background thread (threads-mode pipelines) or as a pre-built
-// schedule (virtual-time simulation) — the §7.3 experiment's companion
+// Update client: a wall-clock background thread that upserts reference
+// records into a dataset at a fixed rate — the §7.3 experiment's companion
 // program that "sends reference data updates to AsterixDB through a data
-// feed".
+// feed". The Figure 27 bench runs it beside a feed.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,8 @@
-// Batch evaluation vs the per-record path: EnrichBatch (batch arena, pooled
-// scratch, streaming-aggregate fast path) must be bit-identical to a fresh
-// plan driven record-at-a-time — across the full §7.2 and §7.4.2 UDF suites.
+// Evaluation through one long-lived plan vs a fresh plan per record:
+// EnrichBatch over a batch (the evaluator's pooled scratch and streaming-
+// aggregate fast path reused across records) must be bit-identical to a
+// fresh plan driven record-at-a-time — across the full §7.2 and §7.4.2 UDF
+// suites.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -122,9 +124,9 @@ TEST_F(BatchEquivalenceTest, BatchMatchesScalarAcrossUdfSuite) {
   }
 }
 
-TEST_F(BatchEquivalenceTest, RepeatedBatchesReuseArenaWithoutDrift) {
-  // Re-running batches through one plan (arena reset between batches) keeps
-  // producing the same bytes as the first pass.
+TEST_F(BatchEquivalenceTest, RepeatedBatchesThroughOnePlanDoNotDrift) {
+  // Re-running batches through one plan (its pooled scratch reused between
+  // batches) keeps producing the same bytes as the first pass.
   const auto& uc = workload::GetUseCase(workload::UseCaseId::kReligiousPopulation);
   SetupUseCase(uc);
   auto plan = EnrichmentPlan::Compile(ParseFn(uc.function_ddl), &accessor_, &udfs_);

@@ -11,7 +11,7 @@
 #include "adm/json.h"
 #include "feed/active_feed_manager.h"
 #include "feed/adapter.h"
-#include "feed/static_pipeline.h"
+#include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "workload/tweets.h"
 #include "sqlpp/parser.h"
@@ -262,21 +262,8 @@ TEST_F(FeedPipelineTest, TracedBatchCrossesAllThreePipelineStages) {
   EXPECT_TRUE(found_full);
 }
 
-TEST_F(FeedPipelineTest, StaticPipelineRejectsStatefulSqlppUdf) {
-  StaticFeedPipeline pipeline(cluster_.get(), &catalog_, &udfs_);
-  StaticFeedPipeline::StartArgs args;
-  args.config.name = "S";
-  args.config.type_name = "TweetType";
-  args.connection.dataset = "EnrichedTweets";
-  args.connection.apply_function = "tweetSafetyCheck";  // stateful!
-  args.adapter_factory = MakeVectorAdapterFactory(MakeTweets(10));
-  Status st = pipeline.Start(std::move(args));
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kNotSupported);
-}
-
-TEST_F(FeedPipelineTest, StaticPipelineIngestsWithStatelessUdf) {
-  // Figure 6's stateless UDF is fine on the static pipeline.
+TEST_F(FeedPipelineTest, StatelessUdfEnrichesThroughAFeed) {
+  // Figure 6's stateless UDF attached to a feed.
   auto fn = sqlpp::ParseStatement(R"(
     CREATE FUNCTION USTweetSafetyCheck(tweet) {
       LET safety_check_flag =
@@ -292,18 +279,107 @@ TEST_F(FeedPipelineTest, StaticPipelineIngestsWithStatelessUdf) {
       std::move(fn->create_function.body));
   ASSERT_TRUE(udfs_.RegisterSqlpp(std::move(def), false).ok());
 
-  StaticFeedPipeline pipeline(cluster_.get(), &catalog_, &udfs_);
-  StaticFeedPipeline::StartArgs args;
-  args.config.name = "S";
+  ActiveFeedManager::StartArgs args;
+  args.config.name = "Stateless";
   args.config.type_name = "TweetType";
   args.connection.dataset = "EnrichedTweets";
   args.connection.apply_function = "USTweetSafetyCheck";
   args.adapter_factory = MakeVectorAdapterFactory(MakeTweets(100));
-  ASSERT_TRUE(pipeline.Start(std::move(args)).ok());
-  auto stats = pipeline.Wait();
-  ASSERT_TRUE(stats.ok());
+  ASSERT_TRUE(afm_->StartFeed(std::move(args)).ok());
+  auto stats = afm_->WaitForFeedStats("Stateless");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->records_ingested, 100u);
-  EXPECT_EQ(catalog_.FindDataset("EnrichedTweets")->LiveRecordCount(), 100u);
+  auto snap = catalog_.FindDataset("EnrichedTweets")->Scan();
+  ASSERT_EQ(snap->size(), 100u);
+  size_t red = 0;
+  for (const auto& rec : *snap) {
+    if (rec.GetField("safety_check_flag")->AsString() == "Red") ++red;
+  }
+  EXPECT_EQ(red, 25u);  // US and "bomb": ids ≡ 0 mod 4
+}
+
+TEST_F(FeedPipelineTest, InvocationPullsTheWholeBatchOverUnevenPartitions) {
+  // 10 records over 3 partitions: one partition pulls the remainder record.
+  FeedConfig config;
+  config.name = "Uneven";
+  config.type_name = "TweetType";
+  config.batch_size = 10;
+  ASSERT_TRUE(ComputingJob::Deploy("Uneven", config, "", cluster_.get(), &catalog_, &udfs_)
+                  .ok());
+  StorageJob storage("Uneven", cluster_.get(), catalog_.FindDataset("Tweets"));
+  ASSERT_TRUE(storage.Start().ok());
+  auto records = MakeTweets(15);
+  for (size_t p = 0; p < cluster_->node_count(); ++p) {
+    auto holder = std::make_shared<runtime::IntakePartitionHolder>(
+        runtime::PartitionHolderId{"Uneven", "intake", p});
+    ASSERT_TRUE(cluster_->node(p).holders().RegisterIntake(holder).ok());
+    for (size_t i = p; i < records->size(); i += 3) {
+      ASSERT_TRUE(holder->Push(std::string((*records)[i])).ok());
+    }
+  }
+  auto inv = ComputingJob::RunOnce("Uneven", config, cluster_.get());
+  ASSERT_TRUE(inv.ok()) << inv.status().ToString();
+  EXPECT_EQ(inv->records_in, 10u);
+  EXPECT_EQ(inv->records_out, 10u);
+  storage.Close();
+  storage.Join();
+  EXPECT_EQ(catalog_.FindDataset("Tweets")->LiveRecordCount(), 10u);
+  for (size_t p = 0; p < cluster_->node_count(); ++p) {
+    (void)cluster_->node(p).holders().Unregister(
+        runtime::PartitionHolderId{"Uneven", "intake", p});
+  }
+  ASSERT_TRUE(ComputingJob::Undeploy("Uneven", cluster_.get()).ok());
+}
+
+TEST_F(FeedPipelineTest, FeedRunsBatchSizeRecordsPerInvocation) {
+  // 100 records at batch-size 10 on 3 nodes: ten full invocations (plus at
+  // most one trailing partial one), not 3+3+3-record ones.
+  ActiveFeedManager::StartArgs args;
+  args.config.name = "Batch10";
+  args.config.type_name = "TweetType";
+  args.config.batch_size = 10;
+  args.connection.dataset = "Tweets";
+  args.adapter_factory = MakeVectorAdapterFactory(MakeTweets(100));
+  ASSERT_TRUE(afm_->StartFeed(std::move(args)).ok());
+  auto stats = afm_->WaitForFeedStats("Batch10");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->records_ingested, 100u);
+  EXPECT_LE(obs::MetricsRegistry::Default()
+                .GetCounter("idea.compute.Batch10.invocations")
+                ->value(),
+            11u);
+}
+
+TEST_F(FeedPipelineTest, TaskCpuHistogramsHoldOneSamplePerTask) {
+  auto records = MakeTweets(150);
+  ActiveFeedManager::StartArgs args;
+  args.config.name = "Cpu";
+  args.config.type_name = "TweetType";
+  args.config.batch_size = 30;
+  args.connection.dataset = "EnrichedTweets";
+  args.connection.apply_function = "tweetSafetyCheck";
+  args.adapter_factory = MakeVectorAdapterFactory(records);
+  ASSERT_TRUE(afm_->StartFeed(std::move(args)).ok());
+  ASSERT_TRUE(afm_->WaitForFeed("Cpu").ok());
+
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  const uint64_t invocations = reg.GetCounter("idea.compute.Cpu.invocations")->value();
+  ASSERT_GE(invocations, 5u);
+  const uint64_t tasks = invocations * cluster_->node_count();
+  for (const char* stage : {"parse", "init", "enrich", "ship"}) {
+    EXPECT_EQ(reg.GetHistogram(std::string("idea.compute.Cpu.") + stage + "_cpu_us")->count(),
+              tasks)
+        << stage;
+  }
+  obs::Histogram* critical = reg.GetHistogram("idea.compute.Cpu.critical_cpu_us");
+  EXPECT_EQ(critical->count(), invocations);
+  EXPECT_GT(critical->sum(), 0);
+  EXPECT_GT(reg.GetCounter("idea.compute.Cpu.ship_bytes")->value(), 0u);
+  EXPECT_EQ(reg.GetHistogram("idea.intake.Cpu.adapter_cpu_us")->count(), 1u);
+  const uint64_t frames = reg.GetCounter("idea.storage.Cpu.frames")->value();
+  EXPECT_GE(frames, invocations);
+  EXPECT_EQ(reg.GetHistogram("idea.storage.Cpu.decode_cpu_us")->count(), frames);
+  EXPECT_EQ(reg.GetHistogram("idea.storage.Cpu.apply_cpu_us")->count(), frames);
 }
 
 TEST_F(FeedPipelineTest, StopFeedDrainsInFlightRecords) {

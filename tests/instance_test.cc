@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "idea.h"
 #include "workload/native_udfs.h"
+#include "workload/reference_data.h"
 #include "workload/tweets.h"
+#include "workload/update_client.h"
 #include "workload/usecases.h"
 
 namespace idea {
@@ -268,6 +273,52 @@ TEST(InstanceTest, EveryUseCaseRunsEndToEnd) {
     EXPECT_EQ(stats->records_ingested, 30u) << uc.name;
     EXPECT_EQ(db.catalog().FindDataset("EnrichedTweets")->LiveRecordCount(), 30u)
         << uc.name;
+  }
+}
+
+TEST(InstanceTest, UpdateClientUpsertsReferenceDataWhileAFeedEnriches) {
+  // Figure 27's setup: a client upserts SafetyRatings while a feed enriches
+  // tweets against them.
+  Instance db(SmallCluster());
+  ASSERT_TRUE(db.ExecuteScript(workload::TweetDdl()).ok());
+  const auto& uc = workload::GetUseCase(workload::UseCaseId::kSafetyRating);
+  ASSERT_TRUE(db.ExecuteScript(uc.ddl).ok());
+  ASSERT_TRUE(db.ExecuteSqlpp(uc.function_ddl).ok());
+  workload::RefSizes sizes = workload::SimulatorScaleSizes().Scaled(0.1);
+  ASSERT_TRUE(workload::LoadUseCaseData(&db.catalog(), uc, sizes, 200, 1).ok());
+  auto ratings = db.catalog().FindDataset("SafetyRatings");
+  const uint64_t upserts_before = ratings->stats().upserts;
+
+  workload::UpdateClient client(&db.catalog(), "SafetyRatings", sizes.safety_ratings,
+                                /*country_domain=*/200, /*rate=*/2000);
+  ASSERT_TRUE(client.Start().ok());
+  auto records = std::make_shared<std::vector<std::string>>();
+  workload::TweetGenerator gen({.seed = 3, .country_domain = 200});
+  for (int i = 0; i < 600; ++i) records->push_back(gen.NextJson());
+  ASSERT_TRUE(db.ExecuteScript(
+                    "CREATE FEED UpdFeed WITH { \"type-name\": \"TweetType\", "
+                    "\"batch-size\": \"50\" };"
+                    "CONNECT FEED UpdFeed TO DATASET EnrichedTweets APPLY FUNCTION " +
+                    uc.function_name + ";")
+                  .ok());
+  ASSERT_TRUE(
+      db.SetFeedAdapterFactory("UpdFeed", feed::MakeVectorAdapterFactory(records)).ok());
+  ASSERT_TRUE(db.ExecuteSqlpp("START FEED UpdFeed;").ok());
+  auto stats = db.WaitForFeed("UpdFeed");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // A short feed can finish before the client's first upsert.
+  for (int i = 0; i < 500 && client.updates_applied() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  client.Stop();
+  ASSERT_TRUE(client.first_error().ok()) << client.first_error().ToString();
+  EXPECT_GT(client.updates_applied(), 0u);
+  EXPECT_EQ(ratings->stats().upserts, upserts_before + client.updates_applied());
+
+  auto snap = db.catalog().FindDataset("EnrichedTweets")->Scan();
+  ASSERT_EQ(snap->size(), 600u);
+  for (const auto& rec : *snap) {
+    EXPECT_NE(rec.GetField("safety_rating"), nullptr) << rec.ToString();
   }
 }
 
