@@ -1,6 +1,7 @@
 // Cluster Controller (CC) / in-process cluster. One CC coordinates N Node
-// Controllers (paper §6.1): it starts jobs, tracks feeds (via the Active
-// Feed Manager in src/feed), and owns the predeployed-job cache.
+// Controllers (paper §6.1): it starts jobs and tracks feeds (via the Active
+// Feed Manager in src/feed). Each feed's computing job keeps its own
+// per-node compiled artifacts (feed/computing_job.h).
 //
 // Every partitioned task runs on the persistent worker pool of its node, in
 // one process. `ClusterConfig::mode` is not read by any code. The figure
@@ -9,9 +10,9 @@
 //
 // Execution substrate: every NodeController owns a persistent
 // runtime::TaskScheduler, and the CC owns one more ("cc") for coordination
-// work (feed driver loops, pipelined invocation coordinators). Pools start
-// with the cluster and stop — draining — when it is destroyed, so they share
-// the owning Instance's lifecycle.
+// work (each feed's invocation loop). Pools start with the cluster and stop
+// — draining — when it is destroyed, so they share the owning Instance's
+// lifecycle.
 #pragma once
 
 #include <memory>
@@ -22,7 +23,6 @@
 #include "cluster/membership.h"
 #include "cluster/node_controller.h"
 #include "runtime/memory_governor.h"
-#include "runtime/predeployed.h"
 #include "runtime/task_scheduler.h"
 
 namespace idea::cluster {
@@ -81,11 +81,10 @@ class Cluster {
 
   /// {"nodes":[{"id":...,"budget_bytes":...,...}]} for the /memgov endpoint.
   std::string MemgovJson() const;
-  runtime::PredeployedJobManager& predeployed() { return predeployed_; }
   const ClusterConfig& config() const { return config_; }
 
-  /// The CC's own pool: feed drivers and invocation coordinators run here so
-  /// control loops recycle threads like everything else.
+  /// The CC's own pool: each feed's invocation loop runs here so control
+  /// loops recycle threads like everything else.
   runtime::TaskScheduler& cc_scheduler() { return *cc_scheduler_; }
 
  private:
@@ -96,7 +95,6 @@ class Cluster {
   std::vector<std::unique_ptr<NodeController>> nodes_;
   MembershipTable membership_;
   std::unique_ptr<HealthMonitor> health_;
-  runtime::PredeployedJobManager predeployed_;
   std::unique_ptr<runtime::TaskScheduler> cc_scheduler_;
 };
 

@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 
 #include "adm/json.h"
@@ -41,16 +40,14 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
     return Status::NotFound("feed '" + name + "' targets unknown dataset '" +
                             args.connection.dataset + "'");
   }
-  // Compile + predeploy the computing job (the paper's predeployed job),
+  // Compile the computing job once per node (the paper's predeployed job),
   // then bring up the two long-running jobs.
-  IDEA_RETURN_NOT_OK(ComputingJob::Deploy(name, args.config, args.connection.apply_function,
-                                          cluster_, catalog_, udfs_));
   auto feed = std::make_unique<ActiveFeed>();
   feed->config = args.config;
   feed->connection = args.connection;
-  if (feed->config.pipeline_depth > 1) {
-    feed->sequencer = std::make_unique<FeedPipelineSequencer>(cluster_->node_count());
-  }
+  IDEA_ASSIGN_OR_RETURN(feed->computing,
+                        ComputingJob::Deploy(feed->config, args.connection.apply_function,
+                                             cluster_, catalog_, udfs_));
   if (feed->config.on_error == OnError::kDeadLetter) {
     // A fresh queue per run; the previous run's letters are dropped once the
     // feed restarts (operators drain between runs).
@@ -58,23 +55,20 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
     std::lock_guard<std::mutex> lock(mu_);
     dlqs_[name] = feed->dlq;
   }
-  // HA feeds plan their partition map over the currently routable members
-  // (round-robin); non-HA feeds keep the fixed identity binding (partition p
-  // on node p) by passing no map at all.
-  feed->deployed_nodes = cluster_->node_count();
-  const std::vector<size_t>* pmap = nullptr;
+  // One partition per deployed node. Non-HA feeds keep the fixed identity
+  // binding (partition p on node p); HA feeds plan over the currently
+  // routable members (round-robin).
+  std::vector<size_t> placement(feed->computing->deployed_nodes());
+  for (size_t p = 0; p < placement.size(); ++p) placement[p] = p;
   if (feed->config.ha_failover) {
     std::vector<size_t> routable = cluster_->membership().RoutableNodes();
     if (routable.empty()) routable = cluster_->membership().AliveNodes();
     if (routable.empty()) {
-      (void)ComputingJob::Undeploy(name, cluster_);
       return Status::Unavailable("feed '" + name + "': no live node to start on");
     }
-    feed->pmap.resize(feed->deployed_nodes);
-    for (size_t p = 0; p < feed->pmap.size(); ++p) {
-      feed->pmap[p] = routable[p % routable.size()];
+    for (size_t p = 0; p < placement.size(); ++p) {
+      placement[p] = routable[p % routable.size()];
     }
-    pmap = &feed->pmap;
   }
   feed->intake = std::make_unique<IntakeJob>(name, cluster_);
   feed->storage = std::make_unique<StorageJob>(name, cluster_, dataset, feed->config,
@@ -89,20 +83,16 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
       intake_raw->AckFrame(partition, lease);
     });
   }
-  Status st = feed->storage->Start(pmap);
-  if (!st.ok()) {
-    (void)ComputingJob::Undeploy(name, cluster_);
-    return st;
-  }
-  st = feed->intake->Start(args.adapter_factory, args.config, feed->dlq.get(), pmap);
-  if (!st.ok()) {
-    (void)ComputingJob::Undeploy(name, cluster_);
-    return st;
+  IDEA_RETURN_NOT_OK(feed->storage->Start(placement));
+  IDEA_RETURN_NOT_OK(
+      feed->intake->Start(args.adapter_factory, args.config, placement, feed->dlq.get()));
+  for (size_t p = 0; p < placement.size(); ++p) {
+    feed->routes.push_back(RouteOf(*feed, p));
   }
   // The intake job asks the AFM to keep invoking computing jobs (§6.1);
   // the driver task on the CC's pool is that loop.
   ActiveFeed* raw = feed.get();
-  st = raw->driver.Launch(&cluster_->cc_scheduler(), [this, raw]() -> Status {
+  Status st = raw->driver.Launch(&cluster_->cc_scheduler(), [this, raw]() -> Status {
     DriveFeed(raw);
     return Status::OK();
   });
@@ -112,17 +102,6 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
     // join their tasks.
     raw->intake->StopAdapters();
     DrainIntakeBacklog(raw);
-    (void)ComputingJob::Undeploy(name, cluster_);
-    // Partition p's holders live on pmap[p], which need not equal p: sweep
-    // every node for every partition id.
-    for (size_t n = 0; n < cluster_->node_count(); ++n) {
-      for (size_t p = 0; p < raw->intake->partition_count(); ++p) {
-        (void)cluster_->node(n).holders().Unregister(
-            runtime::PartitionHolderId{name, "intake", p});
-        (void)cluster_->node(n).holders().Unregister(
-            runtime::PartitionHolderId{name, "storage", p});
-      }
-    }
     return st;
   }
   {
@@ -154,99 +133,73 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
   obs::Counter* jobs_metric = scope.Counter("computing_jobs");
   obs::Gauge* inflight = scope.Gauge("inflight_invocations");
 
-  const size_t depth =
-      feed->sequencer == nullptr ? 1 : std::max<size_t>(1, feed->config.pipeline_depth);
-  std::atomic<uint64_t> next_ticket{0};
-
-  // One lane runs a sequential chain of invocations; `depth` lanes overlap
-  // up to `depth` of them. Global tickets keep per-node pulls and ships in
-  // invocation order no matter which lane runs which ticket, so storage sees
-  // batches exactly as at depth 1.
-  auto lane = [&]() -> Status {
-    const bool ha = feed->config.ha_failover;
-    while (true) {
-      if (ha) {
-        // Advance the health plane one heartbeat interval per invocation:
-        // beats from every live node (the cluster.heartbeat fault site drops
-        // some), then the monitor's virtual clock. Nodes newly declared dead
-        // fail over eagerly, before their partitions' next pull wedges.
-        std::vector<size_t> newly_dead =
-            cluster_->PumpHealth(cluster_->health().options().heartbeat_interval_us);
-        if (!newly_dead.empty()) {
-          Status recovered = RecoverFeed(feed);
-          if (!recovered.ok()) {
-            if (feed->final_status.Set(recovered)) feed->intake->StopAdapters();
-            return recovered;
-          }
+  // Invocations run one after another, so each sees the UDF state refreshed
+  // after the previous batch was enriched.
+  const bool ha = feed->config.ha_failover;
+  while (true) {
+    if (ha) {
+      // Advance the health plane one heartbeat interval per invocation:
+      // beats from every live node (the cluster.heartbeat fault site drops
+      // some), then the monitor's virtual clock. Nodes newly declared dead
+      // fail over eagerly, before their partitions' next pull wedges.
+      std::vector<size_t> newly_dead =
+          cluster_->PumpHealth(cluster_->health().options().heartbeat_interval_us);
+      if (!newly_dead.empty()) {
+        Status recovered = RecoverFeed(feed);
+        if (!recovered.ok()) {
+          if (feed->final_status.Set(recovered)) feed->intake->StopAdapters();
+          break;
         }
       }
-      // Snapshot the pmap: a relocation mid-invocation surfaces as
-      // kUnavailable (stale snapshot), never as corruption.
-      std::vector<size_t> pmap_copy;
-      const std::vector<size_t>* pmap_arg = nullptr;
-      if (ha) {
-        std::lock_guard<std::mutex> ha_lock(feed->ha_mu);
-        pmap_copy = feed->pmap;
-        pmap_arg = &pmap_copy;
+    }
+    // Snapshot the routes: a task whose holder is relocated after the
+    // copy meets the poisoned old holder and reports kUnavailable, never
+    // corruption.
+    std::vector<ComputingJob::Route> routes;
+    {
+      std::lock_guard<std::mutex> ha_lock(feed->ha_mu);
+      routes = feed->routes;
+    }
+    inflight->Add(1);
+    auto inv = feed->computing->RunOnce(routes, feed->dlq.get());
+    inflight->Add(-1);
+    if (!inv.ok()) {
+      Status st = inv.status();
+      if (ha && st.code() == StatusCode::kUnavailable) {
+        // A hosting node died mid-invocation: re-plan, redeliver, resume.
+        Status recovered = RecoverFeed(feed);
+        if (recovered.ok()) continue;
+        st = recovered;
       }
-      const uint64_t ticket = next_ticket.fetch_add(1);
-      inflight->Add(1);
-      auto inv = ComputingJob::RunOnce(feed->config.name, feed->config, cluster_,
-                                       feed->sequencer.get(), ticket,
-                                       feed->dlq.get(), pmap_arg);
-      inflight->Add(-1);
-      if (!inv.ok()) {
-        Status st = inv.status();
-        if (ha && st.code() == StatusCode::kUnavailable) {
-          // A hosting node died mid-invocation: re-plan, redeliver, resume.
-          Status recovered = RecoverFeed(feed);
-          if (recovered.ok()) continue;
-          st = recovered;
-        }
-        // First failure stops the adapters; the backlog is drained after the
-        // lanes join so the intake job can reach EOF.
-        if (feed->final_status.Set(st)) feed->intake->StopAdapters();
-        return st;
+      // First failure stops the adapters; the backlog is drained below so
+      // the intake job can reach EOF.
+      if (feed->final_status.Set(st)) feed->intake->StopAdapters();
+      break;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (feed->recovering_since_us != 0) {
+        feed->stats.recovery_to_resume_us =
+            obs::NowMicros() - feed->recovering_since_us;
+        feed->recovering_since_us = 0;
       }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (feed->recovering_since_us != 0) {
-          feed->stats.recovery_to_resume_us =
-              obs::NowMicros() - feed->recovering_since_us;
-          feed->recovering_since_us = 0;
-        }
-        feed->stats.records_ingested += inv->records_out;
-        feed->stats.parse_errors += inv->parse_errors;
-        feed->stats.validation_errors += inv->validation_errors;
-        feed->stats.records_skipped += inv->records_skipped;
-        feed->stats.dead_letters += inv->dead_letters;
-        feed->stats.retries += inv->retries;
-        if (inv->records_in > 0 || !inv->intake_exhausted) {
-          ++feed->stats.computing_jobs;
-          feed->stats.compute_micros_total += inv->wall_micros;
-        }
-      }
+      feed->stats.records_ingested += inv->records_out;
+      feed->stats.parse_errors += inv->parse_errors;
+      feed->stats.validation_errors += inv->validation_errors;
+      feed->stats.records_skipped += inv->records_skipped;
+      feed->stats.dead_letters += inv->dead_letters;
+      feed->stats.retries += inv->retries;
       if (inv->records_in > 0 || !inv->intake_exhausted) {
-        refresh_us->Record(inv->wall_micros);
-        records_metric->Add(inv->records_out);
-        jobs_metric->Increment();
-      }
-      if (inv->intake_exhausted) return Status::OK();
-    }
-  };
-
-  if (depth == 1) {
-    (void)lane();
-  } else {
-    runtime::TaskGroup lanes;
-    for (size_t i = 0; i < depth; ++i) {
-      Status launched = lanes.Launch(&cluster_->cc_scheduler(), lane);
-      if (!launched.ok()) {
-        feed->final_status.Set(launched);
-        break;
+        ++feed->stats.computing_jobs;
+        feed->stats.compute_micros_total += inv->wall_micros;
       }
     }
-    (void)lanes.Wait();
+    if (inv->records_in > 0 || !inv->intake_exhausted) {
+      refresh_us->Record(inv->wall_micros);
+      records_metric->Add(inv->records_out);
+      jobs_metric->Increment();
+    }
+    if (inv->intake_exhausted) break;
   }
 
   if (feed->final_status.failed()) {
@@ -318,17 +271,23 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
   }
 }
 
+ComputingJob::Route ActiveFeedManager::RouteOf(const ActiveFeed& feed, size_t p) {
+  return ComputingJob::Route{feed.intake->partition_node(p), feed.intake->holder(p),
+                             feed.storage->holder(p)};
+}
+
 Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
   std::lock_guard<std::mutex> ha_lock(feed->ha_mu);
   WallTimer timer;
   timer.Start();
   cluster::MembershipTable& membership = cluster_->membership();
+  std::vector<ComputingJob::Route>& routes = feed->routes;
   // Partitions stranded on dead nodes under the current plan.
   std::vector<size_t> victims;
-  for (size_t p = 0; p < feed->pmap.size(); ++p) {
-    if (membership.IsDead(feed->pmap[p])) victims.push_back(p);
+  for (size_t p = 0; p < routes.size(); ++p) {
+    if (membership.IsDead(routes[p].node)) victims.push_back(p);
   }
-  if (victims.empty()) return Status::OK();  // another lane already re-planned
+  if (victims.empty()) return Status::OK();
   if (feed->failovers_done >= feed->config.max_failovers) {
     return Status::Unavailable("feed '" + feed->config.name + "' exhausted its " +
                                std::to_string(feed->config.max_failovers) +
@@ -336,14 +295,15 @@ Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
   }
   ++feed->failovers_done;
   // Candidate targets: routable (fall back to merely alive) nodes that hold
-  // a predeployed artifact for this feed.
+  // a compiled artifact of this feed's computing job.
+  const size_t deployed = feed->computing->deployed_nodes();
   std::vector<size_t> targets;
   for (size_t n : membership.RoutableNodes()) {
-    if (n < feed->deployed_nodes) targets.push_back(n);
+    if (n < deployed) targets.push_back(n);
   }
   if (targets.empty()) {
     for (size_t n : membership.AliveNodes()) {
-      if (n < feed->deployed_nodes) targets.push_back(n);
+      if (n < deployed) targets.push_back(n);
     }
   }
   if (targets.empty()) {
@@ -353,9 +313,9 @@ Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
   // Least-loaded placement: spread the victims over the targets hosting the
   // fewest partitions (ties broken by lowest index, so the plan is
   // deterministic for a given roster).
-  std::vector<size_t> load(feed->deployed_nodes, 0);
-  for (size_t p = 0; p < feed->pmap.size(); ++p) {
-    if (!membership.IsDead(feed->pmap[p])) load[feed->pmap[p]]++;
+  std::vector<size_t> load(deployed, 0);
+  for (const ComputingJob::Route& route : routes) {
+    if (!membership.IsDead(route.node)) load[route.node]++;
   }
   for (size_t p : victims) {
     size_t best = targets[0];
@@ -364,7 +324,7 @@ Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
     }
     IDEA_RETURN_NOT_OK(feed->intake->RelocatePartition(p, best));
     IDEA_RETURN_NOT_OK(feed->storage->RelocatePartition(p, best));
-    feed->pmap[p] = best;
+    routes[p] = RouteOf(*feed, p);
     load[best]++;
   }
   // At-least-once: everything pulled but not fully acked goes back to the
@@ -443,18 +403,6 @@ Result<FeedRuntimeStats> ActiveFeedManager::WaitForFeedStats(
     feeds_.erase(it);
   }
   (void)feed->driver.Wait();
-  (void)ComputingJob::Undeploy(feed_name, cluster_);
-  // Unregister partition holders so the feed can be restarted. After a
-  // failover partition p's holders need not live on node p, so sweep every
-  // node for every partition id.
-  for (size_t n = 0; n < cluster_->node_count(); ++n) {
-    for (size_t p = 0; p < feed->intake->partition_count(); ++p) {
-      (void)cluster_->node(n).holders().Unregister(
-          runtime::PartitionHolderId{feed_name, "intake", p});
-      (void)cluster_->node(n).holders().Unregister(
-          runtime::PartitionHolderId{feed_name, "storage", p});
-    }
-  }
   IDEA_RETURN_NOT_OK(feed->final_status.Get());
   return feed->stats;
 }

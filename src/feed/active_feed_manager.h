@@ -2,15 +2,18 @@
 // tracks every active feed, and keeps invoking new computing jobs as data
 // batches arrive. Orchestrates the full lifecycle:
 //
-//   START FEED  -> deploy computing job, start intake + storage jobs,
-//                  start the invocation loop (a task on the CC's pool)
-//   (loop)      -> computing job per batch; each invocation refreshes the
-//                  UDF's intermediate state. With pipeline_depth K > 1, up
-//                  to K invocations overlap (Model-3-style, §4.3.3) while a
-//                  FeedPipelineSequencer keeps per-node intake pulls and
-//                  storage ships in invocation order.
-//   STOP FEED   -> adapters stop, intake EOF, in-flight computing jobs
-//                  finish with partial batches, storage job drains & stops
+//   START FEED  -> compile the computing job on every node, start intake +
+//                  storage jobs, start the invocation loop (a task on the
+//                  CC's pool)
+//   (loop)      -> one computing-job invocation per batch, one at a time;
+//                  each refreshes the UDF's intermediate state (Model 2,
+//                  §4.3.3) and gets every partition's node and holders from
+//                  the feed's routes
+//   STOP FEED   -> adapters stop, intake EOF, the in-flight invocation
+//                  finishes with a partial batch, storage job drains & stops
+//
+// The feed's ActiveFeed owns all three jobs; nothing is registered with the
+// cluster, so a failed START leaves nothing behind.
 #pragma once
 
 #include <map>
@@ -72,11 +75,9 @@ class ActiveFeedManager {
   struct ActiveFeed {
     FeedConfig config;
     FeedConnection connection;
+    std::unique_ptr<ComputingJob> computing;
     std::unique_ptr<IntakeJob> intake;
     std::unique_ptr<StorageJob> storage;
-    /// Orders overlapping invocations; null when pipeline_depth == 1
-    /// (sequential invocations need no line).
-    std::unique_ptr<FeedPipelineSequencer> sequencer;
     /// The DriveFeed invocation loop, a task on the CC's pool.
     runtime::TaskGroup driver;
     /// Shared with dlqs_ so letters survive feed completion.
@@ -85,15 +86,12 @@ class ActiveFeedManager {
     common::FirstError final_status;
     bool finished = false;
 
-    /// HA state (config.ha_failover): the partition map (partition ->
-    /// hosting node) and the failover budget. Guarded by ha_mu; lanes copy
-    /// the map per invocation, RecoverFeed re-plans it.
+    /// Partition p's hosting node and holders, and the failover budget.
+    /// Guarded by ha_mu; the loop copies the routes per invocation,
+    /// RecoverFeed re-plans them.
     std::mutex ha_mu;
-    std::vector<size_t> pmap;
+    std::vector<ComputingJob::Route> routes;
     uint32_t failovers_done = 0;
-    /// Nodes that hold a predeployed artifact (node_count at deploy time);
-    /// failover targets must come from this prefix.
-    size_t deployed_nodes = 0;
     /// NowMicros() when the last recovery finished; cleared by the first
     /// successful invocation after it (feeds recovery_to_resume_us).
     double recovering_since_us = 0;
@@ -102,9 +100,11 @@ class ActiveFeedManager {
   void DriveFeed(ActiveFeed* feed);
   /// Feed failover (Grover & Carey recovery model): relocates every
   /// partition hosted on a dead node to the least-loaded live deployed node,
-  /// updates the pmap, and redelivers unacked leased batches. Idempotent —
-  /// concurrent lanes serialize on ha_mu and later callers see no victims.
+  /// updates the routes, and redelivers unacked leased batches. A no-op when
+  /// no partition sits on a dead node.
   Status RecoverFeed(ActiveFeed* feed);
+  /// Partition p's route as the intake and storage jobs hold it now.
+  static ComputingJob::Route RouteOf(const ActiveFeed& feed, size_t p);
   /// Pulls leftover intake batches after a failure so adapters blocked on a
   /// full holder can finish and EOF lands.
   void DrainIntakeBacklog(ActiveFeed* feed);

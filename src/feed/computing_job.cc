@@ -11,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "runtime/frame.h"
+#include "runtime/task_scheduler.h"
 
 namespace idea::feed {
 
@@ -44,9 +45,12 @@ bool IsValidationReject(const Status& st) {
 
 }  // namespace
 
-Status ComputingJob::Deploy(const std::string& feed_name, const FeedConfig& config,
-                            const std::string& udf, cluster::Cluster* cluster,
-                            storage::Catalog* catalog, const UdfRegistry* udfs) {
+Result<std::unique_ptr<ComputingJob>> ComputingJob::Deploy(const FeedConfig& config,
+                                                          const std::string& udf,
+                                                          cluster::Cluster* cluster,
+                                                          storage::Catalog* catalog,
+                                                          const UdfRegistry* udfs) {
+  const std::string& feed_name = config.name;
   const adm::Datatype* datatype = nullptr;
   if (!config.type_name.empty()) {
     datatype = catalog->FindDatatype(config.type_name);
@@ -68,53 +72,50 @@ Status ComputingJob::Deploy(const std::string& feed_name, const FeedConfig& conf
       is_native = true;
     }
   }
-  return cluster->predeployed().Deploy(
-      JobId(feed_name), cluster->node_count(),
-      [&](size_t node) -> Result<std::unique_ptr<runtime::JobArtifact>> {
-        auto artifact = std::make_unique<ComputingArtifact>();
-        artifact->memgov = &cluster->node(node).memgov();
-        IDEA_ASSIGN_OR_RETURN(artifact->parser, MakeParser(config.format, datatype));
-        if (sqlpp_def != nullptr) {
-          artifact->accessor =
-              std::make_unique<storage::CatalogAccessor>(catalog, /*cache=*/true);
-          IDEA_ASSIGN_OR_RETURN(
-              artifact->plan,
-              sqlpp::EnrichmentPlan::Compile(sqlpp_def, artifact->accessor.get(), udfs));
-        } else if (is_native) {
-          // Instantiated per node; (re)initialized per invocation so dynamic
-          // enrichment sees resource updates.
-          IDEA_ASSIGN_OR_RETURN(artifact->native,
-                                udfs->CreateNativeInstance(udf, cluster->node(node).id()));
-          artifact->native_name = udf;
-        }
-        return std::unique_ptr<runtime::JobArtifact>(std::move(artifact));
-      });
+  std::unique_ptr<ComputingJob> job(new ComputingJob(config, cluster));
+  for (size_t node = 0; node < cluster->node_count(); ++node) {
+    auto artifact = std::make_unique<ComputingArtifact>();
+    artifact->memgov = &cluster->node(node).memgov();
+    IDEA_ASSIGN_OR_RETURN(artifact->parser, MakeParser(config.format, datatype));
+    if (sqlpp_def != nullptr) {
+      artifact->accessor =
+          std::make_unique<storage::CatalogAccessor>(catalog, /*cache=*/true);
+      IDEA_ASSIGN_OR_RETURN(
+          artifact->plan,
+          sqlpp::EnrichmentPlan::Compile(sqlpp_def, artifact->accessor.get(), udfs));
+    } else if (is_native) {
+      // Instantiated per node; (re)initialized per invocation so dynamic
+      // enrichment sees resource updates.
+      IDEA_ASSIGN_OR_RETURN(artifact->native,
+                            udfs->CreateNativeInstance(udf, cluster->node(node).id()));
+    }
+    job->artifacts_.push_back(std::move(artifact));
+  }
+  return job;
 }
 
-Status ComputingJob::Undeploy(const std::string& feed_name, cluster::Cluster* cluster) {
-  return cluster->predeployed().Undeploy(JobId(feed_name));
-}
-
-Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
-                                                  const FeedConfig& config,
-                                                  cluster::Cluster* cluster,
-                                                  FeedPipelineSequencer* sequencer,
-                                                  uint64_t ticket,
-                                                  DeadLetterQueue* dlq,
-                                                  const std::vector<size_t>* pmap) {
-  const size_t nodes = cluster->node_count();
-  // Partition layout: p lives on node pmap[p] (identity when null, the
-  // pre-HA fixed binding). The batch quota is split across partitions; the
-  // remainder's extra records rotate over the partitions with the ticket, so
-  // an invocation pulls exactly batch_size records whenever batch_size >=
+Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& routes,
+                                                  DeadLetterQueue* dlq) {
+  const std::string& feed_name = config_.name;
+  const FeedConfig& config = config_;
+  cluster::Cluster* cluster = cluster_;
+  // The batch quota is split across partitions; the remainder's extra
+  // records rotate over the partitions with the invocation count, so an
+  // invocation pulls exactly batch_size records whenever batch_size >=
   // partitions (below that, one record per partition).
-  const size_t partitions = pmap != nullptr ? pmap->size() : nodes;
+  const size_t partitions = routes.size();
+  for (const Route& route : routes) {
+    if (route.node >= artifacts_.size()) {
+      return Status::Internal("computing job for feed '" + feed_name +
+                              "' is not deployed on node " + std::to_string(route.node));
+    }
+  }
+  const uint64_t invocation = invocations_++;
   auto quota = [&](size_t p) -> size_t {
     if (config.batch_size < partitions) return 1;
     return config.batch_size / partitions +
-           ((p + ticket) % partitions < config.batch_size % partitions ? 1 : 0);
+           ((p + invocation) % partitions < config.batch_size % partitions ? 1 : 0);
   };
-  cluster->predeployed().RecordInvocation(JobId(feed_name));
 
   obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.compute." + feed_name);
   obs::Histogram* invocation_us = scope.Histogram("invocation_us");
@@ -153,18 +154,9 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
   runtime::TaskGroup group;
 
   for (size_t p = 0; p < partitions; ++p) {
-    const size_t node = pmap != nullptr ? (*pmap)[p] : p;
+    const size_t node = routes[p].node;
     Status launched = group.Launch(&cluster->node(node).scheduler(),
                                    [&, p, node]() -> Status {
-      // Turn order in the feed's pipeline: the pull turn is released right
-      // after the batch is collected (the next invocation may then pull),
-      // the ship turn right after frames reach the storage holder. The RAII
-      // destructors advance both lines on *every* exit path — an error or an
-      // exhausted intake must never wedge later tickets.
-      runtime::TurnstileTurn pull_turn(
-          sequencer != nullptr ? &sequencer->pull_lines[p] : nullptr, ticket);
-      runtime::TurnstileTurn ship_turn(
-          sequencer != nullptr ? &sequencer->ship_lines[p] : nullptr, ticket);
       // Spans are buffered per node and flushed to the tracer after the
       // barrier, keeping the tracer's lock off the hot path.
       std::vector<obs::Span>& spans = node_spans[p];
@@ -178,32 +170,12 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
         // Liveness probe: the node.kill fault site fires here, modeling this
         // partition's node dying before its task does any work.
         IDEA_RETURN_NOT_OK(cluster->CheckAlive(node));
-        auto* artifact = dynamic_cast<ComputingArtifact*>(
-            cluster->predeployed().Get(JobId(feed_name), node));
-        if (artifact == nullptr) {
-          return Status::Internal("computing job for feed '" + feed_name +
-                                  "' is not predeployed on node " + std::to_string(node));
-        }
-        auto intake = cluster->node(node).holders().FindIntake(
-            runtime::PartitionHolderId{feed_name, "intake", p});
-        auto storage_holder = cluster->node(node).holders().FindStorage(
-            runtime::PartitionHolderId{feed_name, "storage", p});
-        if (intake == nullptr || storage_holder == nullptr) {
-          if (config.ha_failover) {
-            // Our pmap snapshot raced a relocation: the holders moved. The
-            // AFM refreshes the map and re-invokes.
-            return Status::Unavailable("partition " + std::to_string(p) +
-                                       " of feed '" + feed_name +
-                                       "' relocated off node " + std::to_string(node));
-          }
-          return Status::Internal("partition holders for feed '" + feed_name +
-                                  "' missing on node " + std::to_string(node));
-        }
-        // Collector: pull this partition's share of the batch, in ticket
-        // order. HA feeds pull under a lease so the records can be redelivered
-        // if this invocation (or the storage path) dies before the frames are
-        // durable.
-        pull_turn.Acquire();
+        ComputingArtifact* artifact = artifacts_[node].get();
+        runtime::IntakePartitionHolder* intake = routes[p].intake.get();
+        runtime::StoragePartitionHolder* storage_holder = routes[p].storage.get();
+        // Collector: pull this partition's share of the batch. HA feeds pull
+        // under a lease so the records can be redelivered if this invocation
+        // (or the storage path) dies before the frames are durable.
         std::vector<std::string> raw;
         uint64_t lease = 0;
         double t0 = obs::NowMicros();
@@ -215,7 +187,6 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
           exhausted_nodes.fetch_add(1);
           return Status::OK();
         }
-        pull_turn.Release();
         span("intake.pull", t0);
         records_in.fetch_add(raw.size(), std::memory_order_relaxed);
         // Parser. Malformed records are record-level failures: they are
@@ -269,7 +240,7 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
         // salvage pass (with its own per-record retries) separates records
         // that fail persistently from casualties of a transient fault.
         const uint64_t salt = common::StableHash64(feed_name) ^
-                              (ticket * 0x9e3779b97f4a7c15ull) ^ p;
+                              (invocation * 0x9e3779b97f4a7c15ull) ^ p;
         auto backoff = [&](uint32_t attempt) {
           retries.fetch_add(1, std::memory_order_relaxed);
           obs::FlightRecorder::Default().Record(
@@ -292,7 +263,6 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
             // no-op, reference-data churn adjusts by the delta. A spill
             // verdict caps the hold at what fit; the plan still runs (the
             // governor's job is admission accounting, not allocation).
-            std::lock_guard<std::mutex> hold_lock(artifact->memgov_mu);
             (void)artifact->memgov->UpdateHold(&artifact->memgov_hold,
                                                artifact->plan->stats().hash_build_bytes);
           } else {
@@ -312,6 +282,7 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
         if (artifact->plan == nullptr && artifact->native == nullptr) {
           enriched = std::move(parsed);
         } else {
+          std::lock_guard<std::mutex> artifact_lock(artifact->mu);
           auto enrich_batch = [&](std::vector<adm::Value>* out) -> Status {
             IDEA_RETURN_NOT_OK(refresh());
             double e0 = obs::NowMicros();
@@ -392,13 +363,11 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
           }
         }
         records_out.fetch_add(enriched.size(), std::memory_order_relaxed);
-        // Feed pipeline sink: ship frames to the storage job, in ticket
-        // order so concurrent invocations upsert in sequential order. Frames
-        // are stamped with the pull lease; the lease closes with the shipped
+        // Feed pipeline sink: ship frames to the storage job. Frames are
+        // stamped with the pull lease; the lease closes with the shipped
         // count so the ledger knows when every frame has been acked durable.
         // If the node dies mid-ship the lease stays open and the whole batch
         // redelivers (duplicates are PK-idempotent at the LSM).
-        ship_turn.Acquire();
         IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("compute.ship"));
         IDEA_RETURN_NOT_OK(cluster->CheckAlive(node));
         t0 = obs::NowMicros();
@@ -421,14 +390,6 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::string& feed_name,
     });
     if (!launched.ok()) {
       (void)group.Wait();
-      if (sequencer != nullptr) {
-        // Never-launched nodes must still take their turns or later tickets
-        // would wedge; the temporaries wait for and advance each line.
-        for (size_t q = p; q < partitions; ++q) {
-          runtime::TurnstileTurn(&sequencer->pull_lines[q], ticket);
-          runtime::TurnstileTurn(&sequencer->ship_lines[q], ticket);
-        }
-      }
       return launched;
     }
   }

@@ -6,11 +6,14 @@
 // invocation, reference-data changes are picked up batch by batch (Model 2,
 // paper §4.3.3).
 //
-// The per-node compiled artifact (parser + forked enrichment plan or native
-// UDF instance) is distributed through the cluster's PredeployedJobManager —
-// the parameterized predeployed job of §5.1. Per-node work runs as tasks on
-// each node's persistent scheduler, so repeated invocations recycle threads
-// the way predeployed jobs recycle compiled plans.
+// The Active Feed Manager owns one ComputingJob per running feed. Deploy
+// compiles one artifact per node (parser + forked enrichment plan or native
+// UDF instance) at START FEED: the parameterized predeployed job of §5.1.
+// Each invocation then only hands every partition its hosting node and its
+// intake and storage holders (Route); per-node work runs as tasks on each
+// node's persistent scheduler, so repeated invocations recycle threads the
+// way the predeployed job recycles compiled plans. Invocations run one at a
+// time, so every batch sees the state refreshed after the previous batch.
 #pragma once
 
 #include <memory>
@@ -24,29 +27,30 @@
 #include "feed/feed.h"
 #include "feed/record_parser.h"
 #include "feed/udf.h"
-#include "runtime/predeployed.h"
-#include "runtime/task_scheduler.h"
+#include "runtime/partition_holder.h"
 #include "sqlpp/enrichment_plan.h"
 #include "storage/catalog.h"
 
 namespace idea::feed {
 
 /// Node-resident compiled computing-job artifact.
-struct ComputingArtifact : public runtime::JobArtifact {
+struct ComputingArtifact {
   std::unique_ptr<RecordParser> parser;
   /// Snapshot accessor scoped to this node's plan (epoch per invocation).
   std::unique_ptr<storage::CatalogAccessor> accessor;
   std::unique_ptr<sqlpp::EnrichmentPlan> plan;  // SQL++ UDF (may be null)
   std::unique_ptr<NativeUdf> native;            // native UDF (may be null)
-  std::string native_name;
 
   /// Memory-governor reservation tracking the plan's hash-build bytes on
   /// this node; resized after every state refresh, returned on teardown.
   runtime::MemoryGovernor* memgov = nullptr;
-  std::mutex memgov_mu;  // overlapping invocations resize the same hold
   uint64_t memgov_hold = 0;
+  /// Held across refresh + enrich. The plan and the native UDF are
+  /// single-threaded, and after a failover one node can host several
+  /// partitions of an invocation.
+  std::mutex mu;
 
-  ~ComputingArtifact() override {
+  ~ComputingArtifact() {
     if (memgov != nullptr) memgov->Release(memgov_hold);
   }
 };
@@ -66,52 +70,50 @@ struct ComputingInvocation {
   uint64_t trace_id = 0;
 };
 
-/// Orders the side effects of overlapping invocations (pipeline_depth > 1).
-/// Per node there is a *pull line* (intake batches are pulled in ticket
-/// order, so batch boundaries match sequential execution) and a *ship line*
-/// (enriched frames reach the storage holder in ticket order, so
-/// last-writer-wins upserts resolve exactly as at depth 1). Only the compute
-/// between the two hand-offs overlaps. One sequencer per feed.
-struct FeedPipelineSequencer {
-  explicit FeedPipelineSequencer(size_t nodes)
-      : pull_lines(nodes), ship_lines(nodes) {}
-  std::vector<runtime::Turnstile> pull_lines;
-  std::vector<runtime::Turnstile> ship_lines;
-};
-
 class ComputingJob {
  public:
-  /// Compiles and predeploys the computing job for `feed` on every node.
+  /// Where partition p of an invocation runs, and the holders it pulls from
+  /// and ships to (the intake and storage jobs' holders for p).
+  struct Route {
+    size_t node = 0;
+    std::shared_ptr<runtime::IntakePartitionHolder> intake;
+    std::shared_ptr<runtime::StoragePartitionHolder> storage;
+  };
+
+  /// Compiles the computing job for `config.name` once per node.
   /// `udf` is a SQL++ function name, a native qualified name, or empty.
-  static Status Deploy(const std::string& feed_name, const FeedConfig& config,
-                       const std::string& udf, cluster::Cluster* cluster,
-                       storage::Catalog* catalog, const UdfRegistry* udfs);
+  static Result<std::unique_ptr<ComputingJob>> Deploy(const FeedConfig& config,
+                                                      const std::string& udf,
+                                                      cluster::Cluster* cluster,
+                                                      storage::Catalog* catalog,
+                                                      const UdfRegistry* udfs);
 
-  /// Removes the predeployed artifacts.
-  static Status Undeploy(const std::string& feed_name, cluster::Cluster* cluster);
+  /// Runs one invocation: partition p runs as a task on routes[p].node's
+  /// scheduler and pulls its share of batch_size records (see
+  /// FeedConfig::batch_size) from routes[p].intake. Each task's thread CPU
+  /// per stage goes to the idea.compute.<feed>.*_cpu_us histograms.
+  /// Failure handling follows config.on_error / config.max_retries; under
+  /// the dead-letter policy rejected records are parked in `dlq` when
+  /// provided. A kUnavailable result means a hosting node died or a holder
+  /// was relocated mid-invocation — the Active Feed Manager re-plans the
+  /// routes and resumes (not a feed failure). Not reentrant: one invocation
+  /// at a time.
+  Result<ComputingInvocation> RunOnce(const std::vector<Route>& routes,
+                                      DeadLetterQueue* dlq = nullptr);
 
-  /// Runs one invocation: per-partition tasks on the hosting nodes' schedulers
-  /// (partition p on node pmap[p]; null = identity over the node count), each
-  /// pulling its share of batch_size records (see FeedConfig::batch_size).
-  /// Each task's thread CPU per stage goes to the idea.compute.<feed>.*_cpu_us
-  /// histograms. With a sequencer,
-  /// `ticket` is this invocation's position in the feed's pipeline; concurrent
-  /// RunOnce calls may then overlap while pulls and ships stay ticket-ordered.
-  /// Failure handling follows config.on_error / config.max_retries; under the
-  /// dead-letter policy rejected records are parked in `dlq` when provided.
-  /// A kUnavailable result means a hosting node died mid-invocation — the
-  /// Active Feed Manager re-plans the pmap and resumes (not a feed failure).
-  static Result<ComputingInvocation> RunOnce(const std::string& feed_name,
-                                             const FeedConfig& config,
-                                             cluster::Cluster* cluster,
-                                             FeedPipelineSequencer* sequencer = nullptr,
-                                             uint64_t ticket = 0,
-                                             DeadLetterQueue* dlq = nullptr,
-                                             const std::vector<size_t>* pmap = nullptr);
+  /// Nodes holding an artifact (the node count at deploy time); routes and
+  /// failover targets must stay below it.
+  size_t deployed_nodes() const { return artifacts_.size(); }
 
-  static std::string JobId(const std::string& feed_name) {
-    return "computing-job:" + feed_name;
-  }
+ private:
+  ComputingJob(const FeedConfig& config, cluster::Cluster* cluster)
+      : config_(config), cluster_(cluster) {}
+
+  FeedConfig config_;
+  cluster::Cluster* cluster_;
+  std::vector<std::unique_ptr<ComputingArtifact>> artifacts_;  // by node
+  /// Invocations run so far; rotates the batch quota's remainder.
+  uint64_t invocations_ = 0;
 };
 
 }  // namespace idea::feed

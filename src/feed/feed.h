@@ -49,12 +49,6 @@ struct FeedConfig {
   bool balanced_intake = false;
   /// Target frame size for enriched data shipped to the storage job.
   size_t frame_bytes = 32 * 1024;
-  /// Computing-job invocations allowed in flight at once. 1 (default)
-  /// serializes invocations — every batch refreshes UDF state before the
-  /// next is pulled (pure Model 2, paper §4.3.3). K>1 overlaps up to K
-  /// invocations Model-3-style (state may be up to K-1 batches stale);
-  /// per-node intake pulls and storage ships stay in invocation order.
-  size_t pipeline_depth = 1;
   /// What to do with a record/batch that still fails after `max_retries`.
   OnError on_error = OnError::kAbort;
   /// Transient-failure retries per computing invocation (plan refresh + UDF

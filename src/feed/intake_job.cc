@@ -18,26 +18,18 @@ IntakeJob::~IntakeJob() {
 }
 
 Status IntakeJob::Start(const AdapterFactory& factory, const FeedConfig& config,
-                        DeadLetterQueue* dlq, const std::vector<size_t>* pmap) {
+                        const std::vector<size_t>& placement, DeadLetterQueue* dlq) {
   const size_t nodes = cluster_->node_count();
   routing_ = config.routing;
   routing_slack_ = config.routing_slack;
   leasing_ = config.ha_failover;
   push_deadline_us_ = config.holder_push_deadline_us;
-  std::vector<size_t> identity;
-  if (pmap == nullptr) {
-    identity.resize(nodes);
-    for (size_t p = 0; p < nodes; ++p) identity[p] = p;
-    pmap = &identity;
-  }
-  for (size_t p = 0; p < pmap->size(); ++p) {
-    const size_t node = (*pmap)[p];
+  for (size_t p = 0; p < placement.size(); ++p) {
     auto holder = std::make_shared<runtime::IntakePartitionHolder>(
         runtime::PartitionHolderId{feed_name_, "intake", p});
     holder->set_push_deadline_us(push_deadline_us_);
     if (leasing_) holder->EnableLeasing(&lease_counter_);
-    IDEA_RETURN_NOT_OK(cluster_->node(node).holders().RegisterIntake(holder));
-    slots_.push_back(Slot{std::move(holder), node});
+    slots_.push_back(Slot{std::move(holder), placement[p]});
   }
   const size_t intake_count = config.balanced_intake ? nodes : 1;
   for (size_t i = 0; i < intake_count; ++i) {
@@ -212,10 +204,6 @@ Status IntakeJob::RelocatePartition(size_t p, size_t target_node) {
   fresh->set_push_deadline_us(push_deadline_us_);
   if (leasing_) fresh->EnableLeasing(&lease_counter_);
   fresh->PreloadForRelocation(std::move(state));
-  // The dead node's manager still exists in-process; drop the stale entry so
-  // a later feed can reuse the id, then expose the replacement.
-  (void)cluster_->node(slot.node).holders().Unregister(slot.holder->id());
-  IDEA_RETURN_NOT_OK(cluster_->node(target_node).holders().RegisterIntake(fresh));
   obs::FlightRecorder::Default().Record(
       obs::FlightEventKind::kFailover, feed_name_,
       "intake partition " + std::to_string(p) + ": node-" + std::to_string(slot.node) +

@@ -36,16 +36,14 @@ class IntakeJob {
   IntakeJob(std::string feed_name, cluster::Cluster* cluster);
   ~IntakeJob();
 
-  /// Creates and registers one intake partition holder per partition, builds
-  /// the adapters (one, or one per intake node when balanced), and starts
-  /// ingesting. config supplies the intake layout (balanced_intake), the
-  /// routing policy, the failure policy for adapter read errors, and the
-  /// holder push deadline; `dlq` receives unreadable records under the
-  /// dead-letter policy. `pmap` maps partition -> node index (HA feeds plan
-  /// over live members); null = identity over the cluster's node count.
+  /// Creates one intake partition holder per partition (partition p on node
+  /// placement[p]), builds the adapters (one, or one per intake node when
+  /// balanced), and starts ingesting. config supplies the intake layout
+  /// (balanced_intake), the routing policy, the failure policy for adapter
+  /// read errors, and the holder push deadline; `dlq` receives unreadable
+  /// records under the dead-letter policy.
   Status Start(const AdapterFactory& factory, const FeedConfig& config,
-               DeadLetterQueue* dlq = nullptr,
-               const std::vector<size_t>* pmap = nullptr);
+               const std::vector<size_t>& placement, DeadLetterQueue* dlq = nullptr);
 
   /// Asks adapters to stop (STOP FEED); ingestion drains and EOF follows.
   void StopAdapters();
@@ -63,8 +61,8 @@ class IntakeJob {
   Status first_error() const { return error_.Get(); }
 
   /// Moves partition `p`'s holder — queued records, unacked ledger, EOF —
-  /// to a fresh holder registered on `target_node`. The old holder is
-  /// poisoned with kUnavailable so stranded producers/pullers re-resolve.
+  /// to a fresh holder on `target_node`. The old holder is poisoned with
+  /// kUnavailable so stranded producers/pullers re-resolve.
   Status RelocatePartition(size_t p, size_t target_node);
 
   /// Re-queues every unacked leased batch on every partition (post-failover

@@ -29,14 +29,7 @@ StorageJob::~StorageJob() {
   Join();
 }
 
-Status StorageJob::Start(const std::vector<size_t>* pmap) {
-  const size_t nodes = cluster_->node_count();
-  std::vector<size_t> identity;
-  if (pmap == nullptr) {
-    identity.resize(nodes);
-    for (size_t p = 0; p < nodes; ++p) identity[p] = p;
-    pmap = &identity;
-  }
+Status StorageJob::Start(const std::vector<size_t>& placement) {
   obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.storage." + feed_name_);
   store_us_ = scope.Histogram("store_us");
   decode_cpu_us_ = scope.Histogram("decode_cpu_us");
@@ -44,12 +37,11 @@ Status StorageJob::Start(const std::vector<size_t>* pmap) {
   commit_us_ = scope.Histogram("commit_us");
   frames_stored_ = scope.Counter("frames");
   records_metric_ = scope.Counter("records");
-  for (size_t p = 0; p < pmap->size(); ++p) {
-    const size_t node = (*pmap)[p];
+  for (size_t p = 0; p < placement.size(); ++p) {
+    const size_t node = placement[p];
     auto holder = std::make_shared<runtime::StoragePartitionHolder>(
         runtime::PartitionHolderId{feed_name_, "storage", p});
     holder->set_push_deadline_us(config_.holder_push_deadline_us);
-    IDEA_RETURN_NOT_OK(cluster_->node(node).holders().RegisterStorage(holder));
     {
       std::unique_lock<std::shared_mutex> lock(slots_mu_);
       slots_.push_back(Slot{holder, node});
@@ -250,8 +242,6 @@ Status StorageJob::RelocatePartition(size_t p, size_t target_node) {
   old_holder->Abort(Status::Unavailable("node-" + std::to_string(old_node) +
                                         " died; storage partition " +
                                         std::to_string(p) + " relocating"));
-  (void)cluster_->node(old_node).holders().Unregister(old_holder->id());
-  IDEA_RETURN_NOT_OK(cluster_->node(target_node).holders().RegisterStorage(fresh));
   obs::FlightRecorder::Default().Record(
       obs::FlightEventKind::kFailover, feed_name_,
       "storage partition " + std::to_string(p) + ": node-" + std::to_string(old_node) +

@@ -6,7 +6,7 @@
 // WAL per frame. Drain loops run as long-lived tasks on their node's
 // persistent scheduler.
 //
-// HA additions: partitions are placed by a partition map (pmap) and can be
+// HA additions: partitions are placed over the live nodes and can be
 // relocated to a surviving node when theirs dies (RelocatePartition — the
 // old holder is poisoned, a fresh holder plus drain task start on the
 // target). Frames carry (origin_partition, lease_id); after a frame's WAL
@@ -50,10 +50,9 @@ class StorageJob {
              FeedConfig config = FeedConfig(), DeadLetterQueue* dlq = nullptr);
   ~StorageJob();
 
-  /// Registers storage partition holders (partition p on node pmap[p]; null =
-  /// identity over the cluster's node count) and starts the drain tasks on
-  /// the node schedulers.
-  Status Start(const std::vector<size_t>* pmap = nullptr);
+  /// Creates one storage partition holder per partition (partition p on
+  /// node placement[p]) and starts the drain tasks on the node schedulers.
+  Status Start(const std::vector<size_t>& placement);
 
   /// Installs the durable-frame hook (must be set before frames flow; the
   /// Active Feed Manager wires it to IntakeJob::AckFrame for HA feeds).
@@ -89,11 +88,6 @@ class StorageJob {
   std::shared_ptr<runtime::StoragePartitionHolder> holder(size_t partition) const {
     std::shared_lock<std::shared_mutex> lock(slots_mu_);
     return slots_[partition].holder;
-  }
-  /// Node currently hosting partition `p`'s holder.
-  size_t partition_node(size_t p) const {
-    std::shared_lock<std::shared_mutex> lock(slots_mu_);
-    return slots_[p].node;
   }
 
  private:

@@ -1,8 +1,8 @@
 #include "instance/instance.h"
 
-#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "adm/json.h"
 #include "common/fault_injection.h"
@@ -17,6 +17,31 @@
 namespace idea {
 
 using adm::Value;
+
+namespace {
+
+/// Reads CREATE FEED's WITH key `key` into `*out` when it is given (an empty
+/// value counts as not given). The value must be decimal digits only, at
+/// least `min` and representable in T.
+template <typename T>
+Status ReadFeedCount(const std::map<std::string, std::string>& with, const char* key,
+                     T min, T* out) {
+  auto it = with.find(key);
+  if (it == with.end() || it->second.empty()) return Status::OK();
+  const std::string& text = it->second;
+  T value = 0;
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value < min) {
+    return Status::InvalidArgument(
+        "CREATE FEED: \"" + std::string(key) + "\" must be an integer from " +
+        std::to_string(min) + " to " + std::to_string(std::numeric_limits<T>::max()) +
+        ", got \"" + text + "\"");
+  }
+  *out = value;
+  return Status::OK();
+}
+
+}  // namespace
 
 Instance::Instance(InstanceOptions options) : options_(options) {
   // Operators arm fault points for a whole run through the environment, e.g.
@@ -251,33 +276,19 @@ Result<adm::Array> Instance::ExecuteStatement(sqlpp::Statement stmt) {
       };
       decl.config.type_name = get("type-name");
       if (!get("format").empty()) decl.config.format = get("format");
-      if (!get("batch-size").empty()) {
-        decl.config.batch_size =
-            static_cast<size_t>(std::strtoull(get("batch-size").c_str(), nullptr, 10));
-      }
+      IDEA_RETURN_NOT_OK(ReadFeedCount<size_t>(cf.config, "batch-size", 1,
+                                               &decl.config.batch_size));
       std::string balanced = ToLowerAscii(get("balanced-intake"));
       decl.config.balanced_intake = balanced == "true" || balanced == "yes";
-      if (!get("pipeline-depth").empty()) {
-        decl.config.pipeline_depth = std::max<size_t>(
-            1, static_cast<size_t>(
-                   std::strtoull(get("pipeline-depth").c_str(), nullptr, 10)));
-      }
       if (!get("on-error").empty()) {
         IDEA_ASSIGN_OR_RETURN(decl.config.on_error, feed::ParseOnError(get("on-error")));
       }
-      if (!get("max-retries").empty()) {
-        decl.config.max_retries = static_cast<uint32_t>(
-            std::strtoul(get("max-retries").c_str(), nullptr, 10));
-      }
-      if (!get("retry-backoff-us").empty()) {
-        decl.config.retry_backoff_us =
-            std::strtoull(get("retry-backoff-us").c_str(), nullptr, 10);
-      }
-      if (!get("dlq-capacity").empty()) {
-        decl.config.dlq_capacity = std::max<size_t>(
-            1, static_cast<size_t>(
-                   std::strtoull(get("dlq-capacity").c_str(), nullptr, 10)));
-      }
+      IDEA_RETURN_NOT_OK(ReadFeedCount<uint32_t>(cf.config, "max-retries", 0,
+                                                 &decl.config.max_retries));
+      IDEA_RETURN_NOT_OK(ReadFeedCount<uint64_t>(cf.config, "retry-backoff-us", 0,
+                                                 &decl.config.retry_backoff_us));
+      IDEA_RETURN_NOT_OK(ReadFeedCount<size_t>(cf.config, "dlq-capacity", 1,
+                                               &decl.config.dlq_capacity));
       if (!get("post-mortem-dir").empty()) {
         decl.config.post_mortem_dir = get("post-mortem-dir");
       }
@@ -285,16 +296,12 @@ Result<adm::Array> Instance::ExecuteStatement(sqlpp::Statement stmt) {
         IDEA_ASSIGN_OR_RETURN(decl.config.routing,
                               feed::ParseRoutingPolicy(get("routing")));
       }
-      if (!get("routing-slack").empty()) {
-        decl.config.routing_slack = static_cast<size_t>(
-            std::strtoull(get("routing-slack").c_str(), nullptr, 10));
-      }
+      IDEA_RETURN_NOT_OK(ReadFeedCount<size_t>(cf.config, "routing-slack", 0,
+                                               &decl.config.routing_slack));
       std::string ha = ToLowerAscii(get("ha-failover"));
       decl.config.ha_failover = ha == "true" || ha == "yes";
-      if (!get("max-failovers").empty()) {
-        decl.config.max_failovers = static_cast<uint32_t>(
-            std::strtoul(get("max-failovers").c_str(), nullptr, 10));
-      }
+      IDEA_RETURN_NOT_OK(ReadFeedCount<uint32_t>(cf.config, "max-failovers", 0,
+                                                 &decl.config.max_failovers));
       feed_decls_.emplace(cf.name, std::move(decl));
       return adm::Array{};
     }

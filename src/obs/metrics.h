@@ -13,8 +13,8 @@
 //
 // Naming convention: `idea.<subsystem>.<scope>.<name>`, where <scope> is the
 // feed / dataset / UDF the metric belongs to (omitted for process-global
-// metrics). Subsystems in use: intake, compute, storage, predeploy, eval,
-// lsm, wal, feed, sim.
+// metrics). Subsystems in use: intake, compute, storage, eval, plan, lsm,
+// wal, feed, sched, memgov, cluster.
 #pragma once
 
 #include <atomic>

@@ -367,48 +367,4 @@ HolderStats StoragePartitionHolder::stats() const {
   return s;
 }
 
-Status PartitionHolderManager::RegisterIntake(
-    std::shared_ptr<IntakePartitionHolder> holder) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = intake_.emplace(holder->id(), holder);
-  if (!inserted) {
-    return Status::AlreadyExists("intake partition holder " + it->first.ToString() +
-                                 " already registered");
-  }
-  return Status::OK();
-}
-
-Status PartitionHolderManager::RegisterStorage(
-    std::shared_ptr<StoragePartitionHolder> holder) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = storage_.emplace(holder->id(), holder);
-  if (!inserted) {
-    return Status::AlreadyExists("storage partition holder " + it->first.ToString() +
-                                 " already registered");
-  }
-  return Status::OK();
-}
-
-std::shared_ptr<IntakePartitionHolder> PartitionHolderManager::FindIntake(
-    const PartitionHolderId& id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = intake_.find(id);
-  return it == intake_.end() ? nullptr : it->second;
-}
-
-std::shared_ptr<StoragePartitionHolder> PartitionHolderManager::FindStorage(
-    const PartitionHolderId& id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = storage_.find(id);
-  return it == storage_.end() ? nullptr : it->second;
-}
-
-Status PartitionHolderManager::Unregister(const PartitionHolderId& id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (intake_.erase(id) + storage_.erase(id) == 0) {
-    return Status::NotFound("no partition holder " + id.ToString());
-  }
-  return Status::OK();
-}
-
 }  // namespace idea::runtime

@@ -8,8 +8,9 @@
 //     pushed by computing jobs and actively drives them into its downstream
 //     operators.
 //
-// Each holder has a unique id (feed, role, partition) and registers with the
-// per-node PartitionHolderManager so jobs can locate their peers.
+// Each holder has an id (feed, role, partition) that names its metrics. The
+// intake and storage jobs own their holders, and the Active Feed Manager
+// hands each computing invocation the holders of every partition directly.
 //
 // HA additions (Grover & Carey at-least-once feeds): the intake holder keeps
 // a *lease ledger* of pulled-but-unacked batches. A computing invocation
@@ -48,9 +49,6 @@ struct PartitionHolderId {
   /// Metric-name scope for this holder: idea.<role>.<feed>.p<partition>.
   std::string MetricPrefix() const {
     return "idea." + role + "." + feed + ".p" + std::to_string(partition);
-  }
-  bool operator<(const PartitionHolderId& o) const {
-    return ToString() < o.ToString();
   }
 };
 
@@ -248,21 +246,6 @@ class StoragePartitionHolder {
   Status abort_cause_;  // OK until Abort()
   std::atomic<uint64_t> push_deadline_us_{0};
   std::atomic<size_t> approx_depth_{0};
-};
-
-/// Per-node registry; jobs locate local partition holders here (paper §5.3).
-class PartitionHolderManager {
- public:
-  Status RegisterIntake(std::shared_ptr<IntakePartitionHolder> holder);
-  Status RegisterStorage(std::shared_ptr<StoragePartitionHolder> holder);
-  std::shared_ptr<IntakePartitionHolder> FindIntake(const PartitionHolderId& id) const;
-  std::shared_ptr<StoragePartitionHolder> FindStorage(const PartitionHolderId& id) const;
-  Status Unregister(const PartitionHolderId& id);
-
- private:
-  mutable std::mutex mu_;
-  std::map<PartitionHolderId, std::shared_ptr<IntakePartitionHolder>> intake_;
-  std::map<PartitionHolderId, std::shared_ptr<StoragePartitionHolder>> storage_;
 };
 
 }  // namespace idea::runtime

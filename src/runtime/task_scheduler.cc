@@ -117,26 +117,4 @@ Status TaskGroup::Wait() {
   return state_->error.Get();
 }
 
-// ---------------------------------------------------------------------------
-// Turnstile
-// ---------------------------------------------------------------------------
-
-void Turnstile::Wait(uint64_t ticket) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return next_ >= ticket; });
-}
-
-void Turnstile::AdvancePast(uint64_t ticket) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (next_ <= ticket) {
-    next_ = ticket + 1;
-    cv_.notify_all();
-  }
-}
-
-uint64_t Turnstile::current() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_;
-}
-
 }  // namespace idea::runtime

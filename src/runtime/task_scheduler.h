@@ -9,16 +9,11 @@
 //     interdependent blocking tasks (intake loops, computing tasks and
 //     storage drains wired by bounded partition holders) deadlock-free. Each
 //     cluster::NodeController owns one pool; the Cluster Controller owns one
-//     for coordination work (feed drivers, invocation coordinators).
+//     for coordination work (each feed's invocation loop).
 //
 //   * TaskGroup — a join scope over tasks launched on one or more
 //     schedulers: Wait() blocks until every task finished and returns the
 //     first error (common::FirstError semantics).
-//
-//   * Turnstile — a ticket line used by pipelined computing invocations
-//     (AFM Model-3-style overlap): Wait(t) blocks until tickets 0..t-1 have
-//     advanced past, keeping per-node pull and ship hand-offs in order while
-//     the compute between them overlaps.
 //
 // Metrics (per pool, under idea.sched.<name>.*): tasks_run / tasks_failed
 // counters, queue_depth and workers gauges (with high watermarks), and
@@ -113,49 +108,6 @@ class TaskGroup {
     common::FirstError error;
   };
   std::shared_ptr<State> state_;
-};
-
-/// Monotonic ticket line: ticket t may pass once tickets 0..t-1 advanced.
-class Turnstile {
- public:
-  /// Blocks until the line reaches `ticket`.
-  void Wait(uint64_t ticket);
-  /// Advances the line past `ticket` (no-op if already past).
-  void AdvancePast(uint64_t ticket);
-  uint64_t current() const;
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  uint64_t next_ = 0;
-};
-
-/// RAII turn in a Turnstile. The destructor guarantees the line advances
-/// past `ticket` on every exit path (waiting for its turn first if needed),
-/// so an error return can never wedge later tickets. A null line makes every
-/// operation a no-op (unpipelined execution).
-class TurnstileTurn {
- public:
-  TurnstileTurn(Turnstile* line, uint64_t ticket) : line_(line), ticket_(ticket) {}
-  ~TurnstileTurn() { Release(); }
-  TurnstileTurn(const TurnstileTurn&) = delete;
-  TurnstileTurn& operator=(const TurnstileTurn&) = delete;
-
-  /// Blocks until this ticket's turn.
-  void Acquire() {
-    if (line_ != nullptr) line_->Wait(ticket_);
-  }
-  /// Takes the turn (if not yet taken) and passes it on.
-  void Release() {
-    if (line_ == nullptr) return;
-    line_->Wait(ticket_);
-    line_->AdvancePast(ticket_);
-    line_ = nullptr;
-  }
-
- private:
-  Turnstile* line_;
-  uint64_t ticket_;
 };
 
 }  // namespace idea::runtime

@@ -322,7 +322,7 @@ size_t RunSkewedIntake(feed::RoutingPolicy policy, size_t* total_out) {
   config.name = "skew";
   config.routing = policy;
   config.routing_slack = 8;
-  EXPECT_TRUE(intake.Start(MakeGatedFactory(records, gate), config).ok());
+  EXPECT_TRUE(intake.Start(MakeGatedFactory(records, gate), config, {0, 1, 2}).ok());
 
   // Stage the skew: partition 0 already holds a deep backlog.
   const size_t kPrefill = 200;

@@ -138,26 +138,44 @@ TEST_F(FeedPipelineTest, BalancedIntakeUsesAllNodes) {
   EXPECT_EQ(catalog_.FindDataset("Tweets")->LiveRecordCount(), 300u);
 }
 
+/// Partition p on node p: the placement of a non-HA feed.
+std::vector<size_t> IdentityPlacement(size_t nodes) {
+  std::vector<size_t> placement(nodes);
+  for (size_t p = 0; p < nodes; ++p) placement[p] = p;
+  return placement;
+}
+
+/// Routes that pull from `intake` and ship to `storage`'s holders, partition
+/// p on node p (what the Active Feed Manager hands a non-HA feed's job).
+std::vector<ComputingJob::Route> IdentityRoutes(
+    const std::vector<std::shared_ptr<runtime::IntakePartitionHolder>>& intake,
+    const StorageJob& storage) {
+  std::vector<ComputingJob::Route> routes;
+  for (size_t p = 0; p < intake.size(); ++p) {
+    routes.push_back(ComputingJob::Route{p, intake[p], storage.holder(p)});
+  }
+  return routes;
+}
+
 TEST_F(FeedPipelineTest, DynamicEnrichmentSeesReferenceUpdatesBetweenBatches) {
   // Manual batch control: deploy + run computing jobs one at a time.
   FeedConfig config;
   config.name = "Manual";
   config.type_name = "TweetType";
   config.batch_size = 3;  // one per node
-  ASSERT_TRUE(ComputingJob::Deploy("Manual", config, "tweetSafetyCheck", cluster_.get(),
-                                   &catalog_, &udfs_)
-                  .ok());
+  auto job = ComputingJob::Deploy(config, "tweetSafetyCheck", cluster_.get(), &catalog_,
+                                  &udfs_);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
   // Wire holders manually (normally the intake/storage jobs do this).
   auto dataset = catalog_.FindDataset("EnrichedTweets");
   StorageJob storage("Manual", cluster_.get(), dataset);
-  ASSERT_TRUE(storage.Start().ok());
+  ASSERT_TRUE(storage.Start(IdentityPlacement(cluster_->node_count())).ok());
   std::vector<std::shared_ptr<runtime::IntakePartitionHolder>> intake;
   for (size_t p = 0; p < cluster_->node_count(); ++p) {
-    auto holder = std::make_shared<runtime::IntakePartitionHolder>(
-        runtime::PartitionHolderId{"Manual", "intake", p});
-    ASSERT_TRUE(cluster_->node(p).holders().RegisterIntake(holder).ok());
-    intake.push_back(holder);
+    intake.push_back(std::make_shared<runtime::IntakePartitionHolder>(
+        runtime::PartitionHolderId{"Manual", "intake", p}));
   }
+  const std::vector<ComputingJob::Route> routes = IdentityRoutes(intake, storage);
 
   auto push_round = [&](int64_t base_id) {
     for (size_t p = 0; p < 3; ++p) {
@@ -168,10 +186,17 @@ TEST_F(FeedPipelineTest, DynamicEnrichmentSeesReferenceUpdatesBetweenBatches) {
     }
   };
 
+  // Each node's plan is compiled once, at Deploy, and kept across
+  // invocations: only the first invocation builds the state from scratch.
+  obs::Counter* full_rebuilds =
+      obs::MetricsRegistry::Default().GetCounter("idea.plan.tweetSafetyCheck.full_rebuilds");
+  const uint64_t full_before = full_rebuilds->value();
+
   push_round(0);
-  auto inv1 = ComputingJob::RunOnce("Manual", config, cluster_.get());
+  auto inv1 = (*job)->RunOnce(routes);
   ASSERT_TRUE(inv1.ok()) << inv1.status().ToString();
   EXPECT_EQ(inv1->records_out, 3u);
+  EXPECT_EQ(full_rebuilds->value() - full_before, cluster_->node_count());
 
   // Add "sunny" as a sensitive word for US: the NEXT batch must see it.
   ASSERT_TRUE(catalog_.FindDataset("SensitiveWords")
@@ -181,11 +206,12 @@ TEST_F(FeedPipelineTest, DynamicEnrichmentSeesReferenceUpdatesBetweenBatches) {
                   .ok());
 
   push_round(10);
-  auto inv2 = ComputingJob::RunOnce("Manual", config, cluster_.get());
+  auto inv2 = (*job)->RunOnce(routes);
   ASSERT_TRUE(inv2.ok());
+  EXPECT_EQ(full_rebuilds->value() - full_before, cluster_->node_count());
 
   for (auto& h : intake) h->PushEof();
-  auto inv3 = ComputingJob::RunOnce("Manual", config, cluster_.get());
+  auto inv3 = (*job)->RunOnce(routes);
   ASSERT_TRUE(inv3.ok());
   EXPECT_TRUE(inv3->intake_exhausted);
   storage.Close();
@@ -200,7 +226,6 @@ TEST_F(FeedPipelineTest, DynamicEnrichmentSeesReferenceUpdatesBetweenBatches) {
     // Second batch (ids 10-12): refreshed state -> Red.
     EXPECT_EQ(flag, id < 10 ? "Green" : "Red") << rec.ToString();
   }
-  ASSERT_TRUE(ComputingJob::Undeploy("Manual", cluster_.get()).ok());
 }
 
 TEST_F(FeedPipelineTest, TracedBatchCrossesAllThreePipelineStages) {
@@ -304,31 +329,26 @@ TEST_F(FeedPipelineTest, InvocationPullsTheWholeBatchOverUnevenPartitions) {
   config.name = "Uneven";
   config.type_name = "TweetType";
   config.batch_size = 10;
-  ASSERT_TRUE(ComputingJob::Deploy("Uneven", config, "", cluster_.get(), &catalog_, &udfs_)
-                  .ok());
+  auto job = ComputingJob::Deploy(config, "", cluster_.get(), &catalog_, &udfs_);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
   StorageJob storage("Uneven", cluster_.get(), catalog_.FindDataset("Tweets"));
-  ASSERT_TRUE(storage.Start().ok());
+  ASSERT_TRUE(storage.Start(IdentityPlacement(cluster_->node_count())).ok());
   auto records = MakeTweets(15);
+  std::vector<std::shared_ptr<runtime::IntakePartitionHolder>> intake;
   for (size_t p = 0; p < cluster_->node_count(); ++p) {
-    auto holder = std::make_shared<runtime::IntakePartitionHolder>(
-        runtime::PartitionHolderId{"Uneven", "intake", p});
-    ASSERT_TRUE(cluster_->node(p).holders().RegisterIntake(holder).ok());
+    intake.push_back(std::make_shared<runtime::IntakePartitionHolder>(
+        runtime::PartitionHolderId{"Uneven", "intake", p}));
     for (size_t i = p; i < records->size(); i += 3) {
-      ASSERT_TRUE(holder->Push(std::string((*records)[i])).ok());
+      ASSERT_TRUE(intake[p]->Push(std::string((*records)[i])).ok());
     }
   }
-  auto inv = ComputingJob::RunOnce("Uneven", config, cluster_.get());
+  auto inv = (*job)->RunOnce(IdentityRoutes(intake, storage));
   ASSERT_TRUE(inv.ok()) << inv.status().ToString();
   EXPECT_EQ(inv->records_in, 10u);
   EXPECT_EQ(inv->records_out, 10u);
   storage.Close();
   storage.Join();
   EXPECT_EQ(catalog_.FindDataset("Tweets")->LiveRecordCount(), 10u);
-  for (size_t p = 0; p < cluster_->node_count(); ++p) {
-    (void)cluster_->node(p).holders().Unregister(
-        runtime::PartitionHolderId{"Uneven", "intake", p});
-  }
-  ASSERT_TRUE(ComputingJob::Undeploy("Uneven", cluster_.get()).ok());
 }
 
 TEST_F(FeedPipelineTest, FeedRunsBatchSizeRecordsPerInvocation) {
@@ -445,6 +465,60 @@ TEST_F(FeedPipelineTest, FeedCannotStartTwice) {
   again.adapter_factory = MakeVectorAdapterFactory(records);
   EXPECT_EQ(afm_->StartFeed(std::move(again)).code(), StatusCode::kAlreadyExists);
   ASSERT_TRUE(afm_->WaitForFeed("F").ok());
+}
+
+TEST_F(FeedPipelineTest, FeedRestartsAfterItsAdapterFactoryFailed) {
+  // A START whose adapter factory fails must leave nothing behind: the same
+  // feed name then starts and stores every record.
+  ActiveFeedManager::StartArgs broken;
+  broken.config.name = "F";
+  broken.config.type_name = "TweetType";
+  broken.connection.dataset = "Tweets";
+  broken.adapter_factory = [](size_t, size_t) -> Result<std::unique_ptr<FeedAdapter>> {
+    return Status::NotFound("no source file");
+  };
+  Status failed = afm_->StartFeed(std::move(broken));
+  ASSERT_EQ(failed.code(), StatusCode::kNotFound) << failed.ToString();
+  EXPECT_FALSE(afm_->IsActive("F"));
+
+  ActiveFeedManager::StartArgs args;
+  args.config.name = "F";
+  args.config.type_name = "TweetType";
+  args.config.batch_size = 40;
+  args.connection.dataset = "Tweets";
+  args.adapter_factory = MakeVectorAdapterFactory(MakeTweets(200));
+  Status started = afm_->StartFeed(std::move(args));
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  auto stats = afm_->WaitForFeedStats("F");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->records_ingested, 200u);
+  EXPECT_EQ(catalog_.FindDataset("Tweets")->LiveRecordCount(), 200u);
+}
+
+TEST_F(FeedPipelineTest, TwoPartitionsOnOneNodeShareItsPlanSafely) {
+  // An HA feed places its partitions over the routable nodes only: with
+  // node 1 suspect, partitions 0 and 2 both run on node 0 and enrich through
+  // node 0's one plan in the same invocation.
+  ASSERT_TRUE(cluster_->membership().SetState(1, cluster::NodeState::kSuspect).ok());
+  ActiveFeedManager::StartArgs args;
+  args.config.name = "Shared";
+  args.config.type_name = "TweetType";
+  args.config.batch_size = 30;
+  args.config.ha_failover = true;
+  args.connection.dataset = "EnrichedTweets";
+  args.connection.apply_function = "tweetSafetyCheck";
+  args.adapter_factory = MakeVectorAdapterFactory(MakeTweets(300));
+  ASSERT_TRUE(afm_->StartFeed(std::move(args)).ok());
+  auto stats = afm_->WaitForFeedStats("Shared");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->records_ingested, 300u);
+  auto snap = catalog_.FindDataset("EnrichedTweets")->Scan();
+  ASSERT_EQ(snap->size(), 300u);
+  size_t red = 0;
+  for (const auto& rec : *snap) {
+    if (rec.GetField("safety_check_flag")->AsString() == "Red") ++red;
+  }
+  EXPECT_EQ(red, 75u);  // US and "bomb": ids ≡ 0 mod 4
 }
 
 TEST_F(FeedPipelineTest, TwoConcurrentFeedsShareNodePoolsWithoutCrosstalk) {

@@ -213,6 +213,32 @@ TEST(InstanceTest, Figure4FeedLifecycleViaSqlpp) {
   EXPECT_EQ((*db.ExecuteSqlpp("SELECT VALUE count(t) FROM Tweets t;"))[0].AsInt(), 120);
 }
 
+TEST(InstanceTest, CreateFeedRejectsMalformedNumbers) {
+  Instance db(SmallCluster());
+  ASSERT_TRUE(db.ExecuteScript(workload::TweetDdl()).ok());
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"max-retries", "-1"},         {"batch-size", "-1"},
+      {"batch-size", "abc"},         {"batch-size", "0"},
+      {"batch-size", "12x"},         {"retry-backoff-us", "+5"},
+      {"dlq-capacity", "0"},         {"routing-slack", " 5"},
+      {"max-failovers", "4294967296"},
+  };
+  for (const auto& [key, value] : bad) {
+    auto created = db.ExecuteSqlpp(R"(CREATE FEED BadFeed WITH {
+      "type-name": "TweetType", ")" + key + R"(": ")" + value + R"("};)");
+    ASSERT_FALSE(created.ok()) << key << "=" << value;
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument) << key << "=" << value;
+    EXPECT_NE(created.status().ToString().find(key), std::string::npos)
+        << created.status().ToString();
+  }
+  // Nothing was declared by the rejected statements; in-range values pass.
+  EXPECT_TRUE(db.ExecuteSqlpp(R"(CREATE FEED BadFeed WITH {
+      "type-name": "TweetType", "batch-size": "1", "max-retries": "4294967295",
+      "retry-backoff-us": "0", "dlq-capacity": "1", "routing-slack": "0",
+      "max-failovers": "0"};)")
+                  .ok());
+}
+
 TEST(InstanceTest, FeedWithAttachedUdfViaSqlpp) {
   Instance db(SmallCluster());
   ASSERT_TRUE(db.ExecuteScript(workload::TweetDdl()).ok());

@@ -3,8 +3,9 @@
 # binaries (runtime frames and partition holders, the worker-pool scheduler,
 # the three-job feed pipeline, the fault-injection machinery, the
 # observability primitives, the admin server / sampler / flight-recorder
-# telemetry plane, and the LSM dataset's batched writers against its
-# readers). Usage:
+# telemetry plane, the LSM dataset's batched writers against its readers,
+# and the SQL++ facade's feed START/STOP with an update client running
+# against an enriching feed). Usage:
 #
 #   tests/run_tsan.sh [build-dir [test-binary...]]
 #
@@ -21,7 +22,7 @@ TESTS=("$@")
 if [ ${#TESTS[@]} -eq 0 ]; then
   TESTS=(runtime_test scheduler_test feed_pipeline_test obs_test
          admin_server_test sqlpp_delta_refresh_test fault_injection_test
-         feed_fault_test cluster_ha_test storage_lsm_test)
+         feed_fault_test cluster_ha_test storage_lsm_test instance_test)
 fi
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DIDEA_SANITIZE=thread \

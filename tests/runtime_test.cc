@@ -5,7 +5,6 @@
 #include "adm/json.h"
 #include "runtime/frame.h"
 #include "runtime/partition_holder.h"
-#include "runtime/predeployed.h"
 #include "storage/catalog.h"
 
 namespace idea::runtime {
@@ -104,48 +103,6 @@ TEST(PartitionHolderTest, QueueDepthGaugeIsExactAcrossOverlappingInstances) {
   while (survivor->Pop(&f)) ++drained;
   EXPECT_EQ(drained, 2u);
   EXPECT_EQ(gauge->value(), 0);
-}
-
-TEST(PartitionHolderManagerTest, RegistryLifecycle) {
-  PartitionHolderManager mgr;
-  auto intake = std::make_shared<IntakePartitionHolder>(
-      PartitionHolderId{"feed", "intake", 0});
-  ASSERT_TRUE(mgr.RegisterIntake(intake).ok());
-  EXPECT_EQ(mgr.RegisterIntake(intake).code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(mgr.FindIntake({"feed", "intake", 0}), intake);
-  EXPECT_EQ(mgr.FindIntake({"feed", "intake", 1}), nullptr);
-  ASSERT_TRUE(mgr.Unregister({"feed", "intake", 0}).ok());
-  EXPECT_TRUE(mgr.Unregister({"feed", "intake", 0}).IsNotFound());
-}
-
-struct CountingArtifact : JobArtifact {
-  int node;
-};
-
-TEST(PredeployedJobManagerTest, DeployInvokeUndeploy) {
-  PredeployedJobManager mgr;
-  int compiles = 0;
-  ASSERT_TRUE(mgr.Deploy("job1", 3,
-                         [&](size_t node) -> Result<std::unique_ptr<JobArtifact>> {
-                           ++compiles;
-                           auto a = std::make_unique<CountingArtifact>();
-                           a->node = static_cast<int>(node);
-                           return std::unique_ptr<JobArtifact>(std::move(a));
-                         })
-                  .ok());
-  EXPECT_EQ(compiles, 3);  // compiled once per node at deploy time
-  EXPECT_TRUE(mgr.IsDeployed("job1"));
-  for (int i = 0; i < 10; ++i) mgr.RecordInvocation("job1");
-  // Invocations do not recompile.
-  EXPECT_EQ(compiles, 3);
-  EXPECT_EQ(mgr.stats().invocations, 10u);
-  auto* artifact = dynamic_cast<CountingArtifact*>(mgr.Get("job1", 2));
-  ASSERT_NE(artifact, nullptr);
-  EXPECT_EQ(artifact->node, 2);
-  EXPECT_EQ(mgr.Get("job1", 9), nullptr);
-  ASSERT_TRUE(mgr.Undeploy("job1").ok());
-  EXPECT_FALSE(mgr.IsDeployed("job1"));
-  EXPECT_EQ(mgr.Get("job1", 0), nullptr);
 }
 
 }  // namespace

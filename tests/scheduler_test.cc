@@ -1,6 +1,5 @@
-// TaskScheduler / TaskGroup / Turnstile unit tests, plus end-to-end tests of
-// pipelined computing invocations (FeedConfig::pipeline_depth) on the
-// per-node worker pools.
+// TaskScheduler / TaskGroup unit tests, plus end-to-end tests of a feed's
+// computing invocations on the per-node worker pools.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -151,52 +150,11 @@ TEST(TaskSchedulerTest, StopDrainsQueuedTasks) {
   EXPECT_EQ(done.load(), 10);
 }
 
-// ---------------------------------------------------------------------------
-// Turnstile
-// ---------------------------------------------------------------------------
-
-TEST(TurnstileTest, TicketsPassInOrder) {
-  Turnstile line;
-  std::vector<int> order;
-  std::mutex mu;
-  TaskScheduler pool("t-line");
-  TaskGroup group;
-  // Launch in reverse ticket order; the line must serialize them 0,1,2,3.
-  for (int t = 3; t >= 0; --t) {
-    ASSERT_TRUE(group
-                    .Launch(&pool,
-                            [&, t]() -> Status {
-                              TurnstileTurn turn(&line, static_cast<uint64_t>(t));
-                              turn.Acquire();
-                              std::lock_guard<std::mutex> lock(mu);
-                              order.push_back(t);
-                              return Status::OK();  // Release via destructor
-                            })
-                    .ok());
-  }
-  ASSERT_TRUE(group.Wait().ok());
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(TurnstileTest, ErrorPathStillAdvancesLine) {
-  Turnstile line;
-  {
-    TurnstileTurn turn(&line, 0);
-    // Simulated error return: Acquire never called, scope exits.
-  }
-  EXPECT_EQ(line.current(), 1u);
-  // Ticket 1 must now pass immediately.
-  TurnstileTurn turn(&line, 1);
-  turn.Acquire();
-  turn.Release();
-  EXPECT_EQ(line.current(), 2u);
-}
-
 }  // namespace
 }  // namespace idea::runtime
 
 // ---------------------------------------------------------------------------
-// Pipelined computing invocations (pipeline_depth) end-to-end
+// Computing invocations end-to-end
 // ---------------------------------------------------------------------------
 
 namespace idea::feed {
@@ -204,8 +162,8 @@ namespace {
 
 using adm::Value;
 
-/// Native pass-through UDF that sleeps ~1ms per batch record quota, making
-/// invocation overlap observable at pipeline_depth > 1.
+/// Native pass-through UDF that sleeps 200µs per record, so an overlap of
+/// two invocations would show in the in-flight gauge.
 class SlowIdentityUdf : public NativeUdf {
  public:
   Result<Value> Evaluate(sqlpp::ArgView args) override {
@@ -214,9 +172,9 @@ class SlowIdentityUdf : public NativeUdf {
   }
 };
 
-class PipelinedFeedTest : public ::testing::Test {
+class FeedInvocationTest : public ::testing::Test {
  protected:
-  PipelinedFeedTest() {
+  FeedInvocationTest() {
     cluster::ClusterConfig cc;
     cc.nodes = 2;
     cc.mode = cluster::ExecutionMode::kThreads;
@@ -236,8 +194,8 @@ class PipelinedFeedTest : public ::testing::Test {
   }
 
   /// Records keyed id = i % 4 with increasing version v = i: position parity
-  /// pins each key to one node, so per-node ship ordering decides the final
-  /// version.
+  /// pins each key to one node, so the order of that node's ships decides
+  /// the final version.
   static std::shared_ptr<std::vector<std::string>> VersionedRecords(size_t n) {
     auto records = std::make_shared<std::vector<std::string>>();
     for (size_t i = 0; i < n; ++i) {
@@ -248,8 +206,7 @@ class PipelinedFeedTest : public ::testing::Test {
   }
 
   Result<FeedRuntimeStats> RunFeed(const std::string& name, const std::string& dataset,
-                                   size_t pipeline_depth, size_t records,
-                                   const std::string& udf = "") {
+                                   size_t records, const std::string& udf = "") {
     if (catalog_.FindDataset(dataset) == nullptr) {
       IDEA_RETURN_NOT_OK(catalog_.CreateDataset(dataset, "KVType", "id"));
     }
@@ -257,7 +214,6 @@ class PipelinedFeedTest : public ::testing::Test {
     args.config.name = name;
     args.config.type_name = "KVType";
     args.config.batch_size = 8;  // many invocations
-    args.config.pipeline_depth = pipeline_depth;
     args.connection.dataset = dataset;
     args.connection.apply_function = udf;
     args.adapter_factory = MakeVectorAdapterFactory(VersionedRecords(records));
@@ -271,23 +227,8 @@ class PipelinedFeedTest : public ::testing::Test {
   std::unique_ptr<ActiveFeedManager> afm_;
 };
 
-TEST_F(PipelinedFeedTest, DepthTwoOverlapsInvocations) {
-  auto stats = RunFeed("K2", "K2Data", /*pipeline_depth=*/2, /*records=*/400,
-                       "testlib#slowId");
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->records_ingested, 400u);
-  EXPECT_EQ(catalog_.FindDataset("K2Data")->LiveRecordCount(), 4u);
-  // Both lanes were mid-invocation at once: the in-flight gauge reached the
-  // configured depth.
-  obs::Gauge* inflight =
-      obs::MetricsRegistry::Default().GetGauge("idea.feed.K2.inflight_invocations");
-  EXPECT_EQ(inflight->value(), 0);  // all invocations finished
-  EXPECT_EQ(inflight->high_watermark(), 2);
-}
-
-TEST_F(PipelinedFeedTest, DepthOneStaysSequential) {
-  auto stats = RunFeed("K1", "K1Data", /*pipeline_depth=*/1, /*records=*/200,
-                       "testlib#slowId");
+TEST_F(FeedInvocationTest, OneInvocationInFlightAtATime) {
+  auto stats = RunFeed("K1", "K1Data", /*records=*/200, "testlib#slowId");
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->records_ingested, 200u);
   obs::Gauge* inflight =
@@ -295,12 +236,11 @@ TEST_F(PipelinedFeedTest, DepthOneStaysSequential) {
   EXPECT_EQ(inflight->high_watermark(), 1);
 }
 
-TEST_F(PipelinedFeedTest, PipelinedShipsStayInInvocationOrder) {
-  // Overlapped invocations upsert versioned records; the per-node ship lines
-  // must deliver them in invocation order, so every key ends at its maximum
-  // version exactly as at depth 1.
+TEST_F(FeedInvocationTest, ShipsStayInInvocationOrder) {
+  // Invocations upsert versioned records; each node must ship them in
+  // invocation order, so every key ends at its maximum version.
   constexpr size_t kRecords = 400;
-  auto stats = RunFeed("Ord", "OrdData", /*pipeline_depth=*/3, kRecords);
+  auto stats = RunFeed("Ord", "OrdData", kRecords);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->records_ingested, kRecords);
   auto snap = catalog_.FindDataset("OrdData")->Scan();
@@ -311,17 +251,6 @@ TEST_F(PipelinedFeedTest, PipelinedShipsStayInInvocationOrder) {
     // Key k's last version is the largest i < kRecords with i % 4 == k.
     EXPECT_EQ(v, static_cast<int64_t>(kRecords - 4 + static_cast<size_t>(id)))
         << "key " << id;
-  }
-}
-
-TEST_F(PipelinedFeedTest, DepthOneAndDepthTwoProduceIdenticalContents) {
-  ASSERT_TRUE(RunFeed("P1", "P1Data", 1, 240).ok());
-  ASSERT_TRUE(RunFeed("P2", "P2Data", 2, 240).ok());
-  auto a = catalog_.FindDataset("P1Data")->Scan();
-  auto b = catalog_.FindDataset("P2Data")->Scan();
-  ASSERT_EQ(a->size(), b->size());
-  for (size_t i = 0; i < a->size(); ++i) {
-    EXPECT_EQ((*a)[i].ToString(), (*b)[i].ToString());
   }
 }
 
