@@ -8,6 +8,11 @@
 // benches run this cluster at the paper's node counts and turn the tasks'
 // measured CPU into N-node time with cluster/cost_model.h.
 //
+// The roster is fixed when the cluster is built: `ClusterConfig::nodes`
+// NodeControllers, never added or removed afterwards. Only their liveness
+// changes (alive, suspect, dead; cluster/membership.h), and a dead node
+// keeps its index.
+//
 // Execution substrate: every NodeController owns a persistent
 // runtime::TaskScheduler, and the CC owns one more ("cc") for coordination
 // work (each feed's invocation loop). Pools start with the cluster and stop
@@ -16,13 +21,10 @@
 #pragma once
 
 #include <memory>
-#include <shared_mutex>
-#include <string>
 #include <vector>
 
 #include "cluster/membership.h"
 #include "cluster/node_controller.h"
-#include "runtime/memory_governor.h"
 #include "runtime/task_scheduler.h"
 
 namespace idea::cluster {
@@ -33,8 +35,6 @@ struct ClusterConfig {
   size_t nodes = 3;
   /// Not read by any code (see the header comment); callers still set it.
   ExecutionMode mode = ExecutionMode::kVirtualTime;
-  /// Per-node memory-governor budget/delay (idea.memgov.*).
-  runtime::MemoryGovernorOptions memgov;
   /// Heartbeat cadence / miss thresholds for the health monitor.
   HealthMonitorOptions health;
 };
@@ -44,27 +44,16 @@ class Cluster {
   explicit Cluster(ClusterConfig config);
   ~Cluster();
 
-  size_t node_count() const {
-    std::shared_lock<std::shared_mutex> lock(nodes_mu_);
-    return nodes_.size();
-  }
-  NodeController& node(size_t i) {
-    std::shared_lock<std::shared_mutex> lock(nodes_mu_);
-    return *nodes_[i];
-  }
+  size_t node_count() const { return nodes_.size(); }
+  NodeController& node(size_t i) { return *nodes_[i]; }
 
   /// Epoch-stamped liveness roster consulted by routers / the AFM.
   MembershipTable& membership() { return membership_; }
   /// Heartbeat-driven health monitor (virtual-clock; advanced via PumpHealth).
   HealthMonitor& health() { return *health_; }
 
-  /// Elastic membership. AddNode appends a new kAlive node (indices are
-  /// stable; dead nodes keep their slot) and returns its index. DrainNode
-  /// fences a node from new traffic while it finishes in-flight work.
-  /// FailNode declares a node dead (terminal), triggering feed failover on
-  /// the next liveness check.
-  size_t AddNode();
-  Status DrainNode(size_t node);
+  /// Declares a node dead (terminal), triggering feed failover on the next
+  /// liveness check.
   Status FailNode(size_t node);
 
   /// Liveness probe used by per-partition tasks: returns kUnavailable when
@@ -79,8 +68,6 @@ class Cluster {
   /// newly declared dead this round.
   std::vector<size_t> PumpHealth(uint64_t advance_us);
 
-  /// {"nodes":[{"id":...,"budget_bytes":...,...}]} for the /memgov endpoint.
-  std::string MemgovJson() const;
   const ClusterConfig& config() const { return config_; }
 
   /// The CC's own pool: each feed's invocation loop runs here so control
@@ -89,9 +76,7 @@ class Cluster {
 
  private:
   ClusterConfig config_;
-  /// Guards nodes_ growth (AddNode) against concurrent readers; the
-  /// NodeController objects themselves are stable behind unique_ptr.
-  mutable std::shared_mutex nodes_mu_;
+  /// Filled by the constructor and never resized, so reads need no lock.
   std::vector<std::unique_ptr<NodeController>> nodes_;
   MembershipTable membership_;
   std::unique_ptr<HealthMonitor> health_;

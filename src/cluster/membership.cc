@@ -14,8 +14,6 @@ const char* NodeStateName(NodeState state) {
       return "alive";
     case NodeState::kSuspect:
       return "suspect";
-    case NodeState::kDraining:
-      return "draining";
     case NodeState::kDead:
       return "dead";
   }
@@ -24,16 +22,15 @@ const char* NodeStateName(NodeState state) {
 
 namespace {
 
-// Keeps the idea.cluster.nodes_{alive,suspect,draining,dead} level gauges and
-// the epoch gauge current. Called with mu_ held (states is a stable snapshot).
+// Keeps the idea.cluster.nodes_{alive,suspect,dead} level gauges and the
+// epoch gauge current. Called with mu_ held (states is a stable snapshot).
 void PublishRoster(const std::vector<NodeState>& states, uint64_t epoch) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  int64_t counts[4] = {0, 0, 0, 0};
+  int64_t counts[3] = {0, 0, 0};
   for (NodeState s : states) counts[static_cast<size_t>(s)]++;
   reg.GetGauge("idea.cluster.nodes_alive")->Set(counts[0]);
   reg.GetGauge("idea.cluster.nodes_suspect")->Set(counts[1]);
-  reg.GetGauge("idea.cluster.nodes_draining")->Set(counts[2]);
-  reg.GetGauge("idea.cluster.nodes_dead")->Set(counts[3]);
+  reg.GetGauge("idea.cluster.nodes_dead")->Set(counts[2]);
   reg.GetGauge("idea.cluster.membership_epoch")->Set(static_cast<int64_t>(epoch));
 }
 
@@ -67,7 +64,7 @@ Status MembershipTable::SetState(size_t node, NodeState state) {
   if (cur == state) return Status::OK();
   if (cur == NodeState::kDead) {
     return Status::InvalidArgument("membership: node " + std::to_string(node) +
-                                   " is dead (dead is terminal; AddNode to re-join)");
+                                   " is dead (dead is terminal)");
   }
   states_[node] = state;
   const uint64_t epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
@@ -114,7 +111,7 @@ std::vector<size_t> MembershipTable::RoutableNodes() const {
 }
 
 HealthMonitor::HealthMonitor(MembershipTable* table, HealthMonitorOptions options)
-    : table_(table), options_(options) {
+    : table_(table), options_(options), last_beat_us_(table->size(), 0) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   beats_ = reg.GetCounter("idea.cluster.health.heartbeats");
   beats_dropped_ = reg.GetCounter("idea.cluster.health.heartbeats_dropped");
@@ -125,10 +122,6 @@ HealthMonitor::HealthMonitor(MembershipTable* table, HealthMonitorOptions option
 bool HealthMonitor::Heartbeat(size_t node, const std::string& node_id) {
   Status dropped = IDEA_FAULT_HIT_KEYED("cluster.heartbeat", node_id);
   std::lock_guard<std::mutex> lock(mu_);
-  if (last_beat_us_.size() < table_->size()) {
-    // New nodes start their silence window at registration time (now), not 0.
-    last_beat_us_.resize(table_->size(), now_us_);
-  }
   if (node >= last_beat_us_.size()) return false;
   if (!dropped.ok()) {
     beats_dropped_->Increment();
@@ -146,15 +139,12 @@ bool HealthMonitor::Heartbeat(size_t node, const std::string& node_id) {
 std::vector<size_t> HealthMonitor::Tick(uint64_t advance_us) {
   std::lock_guard<std::mutex> lock(mu_);
   now_us_ += advance_us;
-  if (last_beat_us_.size() < table_->size()) {
-    last_beat_us_.resize(table_->size(), now_us_ - std::min<uint64_t>(now_us_, advance_us));
-  }
   std::vector<size_t> newly_dead;
   const uint64_t suspect_after = options_.suspect_misses * options_.heartbeat_interval_us;
   const uint64_t dead_after = options_.dead_misses * options_.heartbeat_interval_us;
   for (size_t i = 0; i < last_beat_us_.size(); ++i) {
     NodeState s = table_->state(i);
-    if (s == NodeState::kDead || s == NodeState::kDraining) continue;
+    if (s == NodeState::kDead) continue;
     const uint64_t silent = now_us_ - std::min(now_us_, last_beat_us_[i]);
     if (silent >= dead_after) {
       if (table_->SetState(i, NodeState::kDead).ok()) {

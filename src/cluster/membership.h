@@ -1,9 +1,10 @@
-// Dynamic cluster membership: an epoch-stamped roster of node liveness states
-// plus a heartbeat-driven health monitor. The paper's framework assumes a
-// fixed, healthy node set; this module relaxes that so the Active Feed
-// Manager can re-plan partition maps when a node dies mid-feed (the Grover &
-// Carey fault-tolerant-feeds recovery model) and the intake router can steer
-// traffic away from suspect or draining nodes.
+// Cluster liveness: an epoch-stamped roster of node states plus a
+// heartbeat-driven health monitor. The paper's framework assumes a healthy
+// node set; this module relaxes that so the Active Feed Manager can re-plan
+// partition maps when a node dies mid-feed (the Grover & Carey
+// fault-tolerant-feeds recovery model) and the intake router can steer
+// traffic away from suspect or dead nodes. The set of nodes itself is fixed
+// when the cluster is built (cluster_controller.h); only their states move.
 //
 // The MembershipTable is the single source of truth: every state transition
 // bumps a monotonically increasing epoch, so holders / routers / the AFM can
@@ -29,14 +30,11 @@ class Counter;
 namespace idea::cluster {
 
 /// Liveness of one node in the roster.
-///   kAlive    — healthy; full traffic.
-///   kSuspect  — missed heartbeats; still executing, but congestion-aware
-///               routing steers new records away until it beats again.
-///   kDraining — operator-requested drain; keeps in-flight work, gets no new
-///               partitions or records.
-///   kDead     — declared failed; its partitions must be relocated. Terminal
-///               (a replacement capacity joins as a *new* node via AddNode).
-enum class NodeState : uint8_t { kAlive, kSuspect, kDraining, kDead };
+///   kAlive   — healthy; full traffic.
+///   kSuspect — missed heartbeats; still executing, but congestion-aware
+///              routing steers new records away until it beats again.
+///   kDead    — declared failed; its partitions must be relocated. Terminal.
+enum class NodeState : uint8_t { kAlive, kSuspect, kDead };
 
 const char* NodeStateName(NodeState state);
 
@@ -46,11 +44,11 @@ class MembershipTable {
  public:
   MembershipTable() = default;
 
-  /// Registers one more node (initially kAlive) and returns its index.
+  /// Registers one more node (initially kAlive) and returns its index. The
+  /// cluster registers its whole roster this way when it is built.
   size_t AddNode();
 
-  /// Current number of nodes ever registered (dead nodes keep their slot so
-  /// indices stay stable).
+  /// Number of registered nodes (dead nodes keep their slot).
   size_t size() const;
 
   /// Roster version: bumped on every state change and on AddNode. Starts at 1
@@ -61,7 +59,7 @@ class MembershipTable {
   NodeState state(size_t node) const;
 
   /// Transition `node` to `state`. Dead is terminal: any transition out of
-  /// kDead is rejected (kInvalidArgument) — capacity re-joins as a new node.
+  /// kDead is rejected (kInvalidArgument).
   /// A no-op transition (same state) does not bump the epoch.
   Status SetState(size_t node, NodeState state);
 
@@ -95,7 +93,7 @@ struct HealthMonitorOptions {
 /// Drives MembershipTable transitions from (virtual-time) heartbeats. All
 /// time is the monitor's own virtual clock, advanced by Tick(); nothing here
 /// reads the wall clock, so a chaos soak replays bit-identically under a
-/// fixed seed.
+/// fixed seed. Watches the nodes registered in `table` when it is built.
 class HealthMonitor {
  public:
   explicit HealthMonitor(MembershipTable* table, HealthMonitorOptions options = {});
@@ -121,7 +119,7 @@ class HealthMonitor {
   HealthMonitorOptions options_;
   mutable std::mutex mu_;
   uint64_t now_us_ = 0;
-  std::vector<uint64_t> last_beat_us_;  ///< Grows lazily with table size.
+  std::vector<uint64_t> last_beat_us_;  ///< By node; all start at time 0.
 
   obs::Counter* beats_;
   obs::Counter* beats_dropped_;

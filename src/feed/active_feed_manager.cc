@@ -55,10 +55,10 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
     std::lock_guard<std::mutex> lock(mu_);
     dlqs_[name] = feed->dlq;
   }
-  // One partition per deployed node. Non-HA feeds keep the fixed identity
-  // binding (partition p on node p); HA feeds plan over the currently
-  // routable members (round-robin).
-  std::vector<size_t> placement(feed->computing->deployed_nodes());
+  // One partition per node. Non-HA feeds keep the fixed identity binding
+  // (partition p on node p); HA feeds plan over the currently routable
+  // members (round-robin).
+  std::vector<size_t> placement(cluster_->node_count());
   for (size_t p = 0; p < placement.size(); ++p) placement[p] = p;
   if (feed->config.ha_failover) {
     std::vector<size_t> routable = cluster_->membership().RoutableNodes();
@@ -128,7 +128,6 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
   // idea.feed.<name>.* alongside the per-stage idea.{intake,compute,storage}
   // series the jobs record themselves.
   obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.feed." + feed->config.name);
-  obs::Histogram* refresh_us = scope.Histogram("refresh_period_us");
   obs::Counter* records_metric = scope.Counter("records_ingested");
   obs::Counter* jobs_metric = scope.Counter("computing_jobs");
   obs::Gauge* inflight = scope.Gauge("inflight_invocations");
@@ -152,16 +151,10 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
         }
       }
     }
-    // Snapshot the routes: a task whose holder is relocated after the
-    // copy meets the poisoned old holder and reports kUnavailable, never
-    // corruption.
-    std::vector<ComputingJob::Route> routes;
-    {
-      std::lock_guard<std::mutex> ha_lock(feed->ha_mu);
-      routes = feed->routes;
-    }
+    // Routes change only in RecoverFeed, which runs on this loop between
+    // invocations, so the invocation reads them in place.
     inflight->Add(1);
-    auto inv = feed->computing->RunOnce(routes, feed->dlq.get());
+    auto inv = feed->computing->RunOnce(feed->routes, feed->dlq.get());
     inflight->Add(-1);
     if (!inv.ok()) {
       Status st = inv.status();
@@ -195,7 +188,6 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
       }
     }
     if (inv->records_in > 0 || !inv->intake_exhausted) {
-      refresh_us->Record(inv->wall_micros);
       records_metric->Add(inv->records_out);
       jobs_metric->Increment();
     }
@@ -277,7 +269,6 @@ ComputingJob::Route ActiveFeedManager::RouteOf(const ActiveFeed& feed, size_t p)
 }
 
 Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
-  std::lock_guard<std::mutex> ha_lock(feed->ha_mu);
   WallTimer timer;
   timer.Start();
   cluster::MembershipTable& membership = cluster_->membership();
@@ -294,18 +285,10 @@ Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
                                "-failover budget");
   }
   ++feed->failovers_done;
-  // Candidate targets: routable (fall back to merely alive) nodes that hold
-  // a compiled artifact of this feed's computing job.
-  const size_t deployed = feed->computing->deployed_nodes();
-  std::vector<size_t> targets;
-  for (size_t n : membership.RoutableNodes()) {
-    if (n < deployed) targets.push_back(n);
-  }
-  if (targets.empty()) {
-    for (size_t n : membership.AliveNodes()) {
-      if (n < deployed) targets.push_back(n);
-    }
-  }
+  // Candidate targets: routable nodes, else merely alive ones. Every node
+  // holds a compiled artifact of this feed's computing job.
+  std::vector<size_t> targets = membership.RoutableNodes();
+  if (targets.empty()) targets = membership.AliveNodes();
   if (targets.empty()) {
     return Status::Unavailable("feed '" + feed->config.name +
                                "': no live node left to fail over to");
@@ -313,7 +296,7 @@ Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
   // Least-loaded placement: spread the victims over the targets hosting the
   // fewest partitions (ties broken by lowest index, so the plan is
   // deterministic for a given roster).
-  std::vector<size_t> load(deployed, 0);
+  std::vector<size_t> load(cluster_->node_count(), 0);
   for (const ComputingJob::Route& route : routes) {
     if (!membership.IsDead(route.node)) load[route.node]++;
   }

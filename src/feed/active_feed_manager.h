@@ -87,9 +87,8 @@ class ActiveFeedManager {
     bool finished = false;
 
     /// Partition p's hosting node and holders, and the failover budget.
-    /// Guarded by ha_mu; the loop copies the routes per invocation,
-    /// RecoverFeed re-plans them.
-    std::mutex ha_mu;
+    /// Only the feed's DriveFeed loop reads them after StartFeed; its
+    /// RecoverFeed calls re-plan them between invocations.
     std::vector<ComputingJob::Route> routes;
     uint32_t failovers_done = 0;
     /// NowMicros() when the last recovery finished; cleared by the first
@@ -99,9 +98,9 @@ class ActiveFeedManager {
 
   void DriveFeed(ActiveFeed* feed);
   /// Feed failover (Grover & Carey recovery model): relocates every
-  /// partition hosted on a dead node to the least-loaded live deployed node,
-  /// updates the routes, and redelivers unacked leased batches. A no-op when
-  /// no partition sits on a dead node.
+  /// partition hosted on a dead node to the least-loaded live node, updates
+  /// the routes, and redelivers unacked leased batches. A no-op when no
+  /// partition sits on a dead node. Runs on the feed's DriveFeed loop only.
   Status RecoverFeed(ActiveFeed* feed);
   /// Partition p's route as the intake and storage jobs hold it now.
   static ComputingJob::Route RouteOf(const ActiveFeed& feed, size_t p);

@@ -75,7 +75,6 @@ Result<std::unique_ptr<ComputingJob>> ComputingJob::Deploy(const FeedConfig& con
   std::unique_ptr<ComputingJob> job(new ComputingJob(config, cluster));
   for (size_t node = 0; node < cluster->node_count(); ++node) {
     auto artifact = std::make_unique<ComputingArtifact>();
-    artifact->memgov = &cluster->node(node).memgov();
     IDEA_ASSIGN_OR_RETURN(artifact->parser, MakeParser(config.format, datatype));
     if (sqlpp_def != nullptr) {
       artifact->accessor =
@@ -104,12 +103,6 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
   // invocation pulls exactly batch_size records whenever batch_size >=
   // partitions (below that, one record per partition).
   const size_t partitions = routes.size();
-  for (const Route& route : routes) {
-    if (route.node >= artifacts_.size()) {
-      return Status::Internal("computing job for feed '" + feed_name +
-                              "' is not deployed on node " + std::to_string(route.node));
-    }
-  }
   const uint64_t invocation = invocations_++;
   auto quota = [&](size_t p) -> size_t {
     if (config.batch_size < partitions) return 1;
@@ -119,8 +112,6 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
 
   obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.compute." + feed_name);
   obs::Histogram* invocation_us = scope.Histogram("invocation_us");
-  obs::Histogram* init_us = scope.Histogram("init_us");
-  obs::Histogram* run_us = scope.Histogram("run_us");
   obs::Counter* invocations = scope.Counter("invocations");
   obs::Counter* records_in_metric = scope.Counter("records_in");
   obs::Counter* records_out_metric = scope.Counter("records_out");
@@ -258,18 +249,10 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
           if (artifact->plan != nullptr) {
             artifact->accessor->BeginEpoch();
             IDEA_RETURN_NOT_OK(artifact->plan->Initialize());
-            // Track the refreshed hash-build footprint against the node
-            // budget. The hold is resized, not re-acquired: steady state is a
-            // no-op, reference-data churn adjusts by the delta. A spill
-            // verdict caps the hold at what fit; the plan still runs (the
-            // governor's job is admission accounting, not allocation).
-            (void)artifact->memgov->UpdateHold(&artifact->memgov_hold,
-                                               artifact->plan->stats().hash_build_bytes);
           } else {
             IDEA_RETURN_NOT_OK(artifact->native->Initialize(cluster->node(node).id()));
           }
           span("compute.init", init_start);
-          init_us->Record(obs::NowMicros() - init_start);
           cpu.init += init_timer.ElapsedMicros();
           return Status::OK();
         };
@@ -295,7 +278,6 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
             }
             cpu.enrich += enrich_timer.ElapsedMicros();
             span("compute.enrich", e0);
-            run_us->Record(obs::NowMicros() - e0);
             return Status::OK();
           };
           Status enrich_status;

@@ -9,7 +9,8 @@
 // The Active Feed Manager owns one ComputingJob per running feed. Deploy
 // compiles one artifact per node (parser + forked enrichment plan or native
 // UDF instance) at START FEED: the parameterized predeployed job of §5.1.
-// Each invocation then only hands every partition its hosting node and its
+// The cluster's roster is fixed, so every node a partition can be routed or
+// failed over to holds an artifact. Each invocation then only hands every partition its hosting node and its
 // intake and storage holders (Route); per-node work runs as tasks on each
 // node's persistent scheduler, so repeated invocations recycle threads the
 // way the predeployed job recycles compiled plans. Invocations run one at a
@@ -40,19 +41,10 @@ struct ComputingArtifact {
   std::unique_ptr<storage::CatalogAccessor> accessor;
   std::unique_ptr<sqlpp::EnrichmentPlan> plan;  // SQL++ UDF (may be null)
   std::unique_ptr<NativeUdf> native;            // native UDF (may be null)
-
-  /// Memory-governor reservation tracking the plan's hash-build bytes on
-  /// this node; resized after every state refresh, returned on teardown.
-  runtime::MemoryGovernor* memgov = nullptr;
-  uint64_t memgov_hold = 0;
   /// Held across refresh + enrich. The plan and the native UDF are
   /// single-threaded, and after a failover one node can host several
   /// partitions of an invocation.
   std::mutex mu;
-
-  ~ComputingArtifact() {
-    if (memgov != nullptr) memgov->Release(memgov_hold);
-  }
 };
 
 /// Outcome of one computing-job invocation.
@@ -80,7 +72,7 @@ class ComputingJob {
     std::shared_ptr<runtime::StoragePartitionHolder> storage;
   };
 
-  /// Compiles the computing job for `config.name` once per node.
+  /// Compiles the computing job for `config.name` once per cluster node.
   /// `udf` is a SQL++ function name, a native qualified name, or empty.
   static Result<std::unique_ptr<ComputingJob>> Deploy(const FeedConfig& config,
                                                       const std::string& udf,
@@ -100,10 +92,6 @@ class ComputingJob {
   /// at a time.
   Result<ComputingInvocation> RunOnce(const std::vector<Route>& routes,
                                       DeadLetterQueue* dlq = nullptr);
-
-  /// Nodes holding an artifact (the node count at deploy time); routes and
-  /// failover targets must stay below it.
-  size_t deployed_nodes() const { return artifacts_.size(); }
 
  private:
   ComputingJob(const FeedConfig& config, cluster::Cluster* cluster)

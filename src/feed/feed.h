@@ -67,8 +67,8 @@ struct FeedConfig {
   /// routing degrades to exact round-robin while queue depths are balanced
   /// (ties keep the rotation), so figure benches are unchanged; under skew it
   /// diverts to the shallowest routable partition, and it always skips
-  /// partitions whose node is dead or draining (suspect too, until the node
-  /// heartbeats again).
+  /// partitions whose node is dead (suspect too, until the node heartbeats
+  /// again).
   RoutingPolicy routing = RoutingPolicy::kCongestion;
   /// Records of queue-depth skew tolerated before congestion routing diverts
   /// a record off its round-robin partition.
@@ -112,7 +112,6 @@ struct FeedRuntimeStats {
   uint64_t retries = 0;            // transient-failure retry attempts
   uint64_t computing_jobs = 0;     // invocations (dynamic framework)
   double compute_micros_total = 0; // Σ wall time of computing jobs
-  uint64_t plan_initializations = 0;
   double wall_micros_total = 0;    // feed lifetime
 
   // Back-pressure summary, aggregated from the feed's partition-holder

@@ -82,7 +82,6 @@ Status IntakeJob::Start(const AdapterFactory& factory, const FeedConfig& config,
               break;
             }
             raw.clear();
-            records_.fetch_add(1, std::memory_order_relaxed);
             adapter_records->Increment();
           }
           adapter_cpu_us->Record(cpu_timer.ElapsedMicros());
@@ -111,14 +110,14 @@ void IntakeJob::RefreshRoutable(const std::vector<Slot>& slots, RouterState* rs)
   bool any = false;
   for (size_t p = 0; p < slots.size(); ++p) {
     const cluster::NodeState s = membership.state(slots[p].node);
-    // Dead and draining nodes never take new records; suspect nodes are
-    // avoided too (they recover to routable on their next heartbeat).
+    // Dead nodes never take new records; suspect nodes are avoided too
+    // (they recover to routable on their next heartbeat).
     rs->routable[p] = (s == cluster::NodeState::kAlive) ? 1 : 0;
     any |= rs->routable[p] != 0;
   }
   if (!any) {
-    // Whole roster suspect/draining: prefer any still-executing node over
-    // stalling the adapter.
+    // No routable node left (all suspect or dead): prefer any
+    // still-executing node over stalling the adapter.
     for (size_t p = 0; p < slots.size(); ++p) {
       if (membership.IsAlive(slots[p].node)) rs->routable[p] = 1;
     }
@@ -218,7 +217,6 @@ size_t IntakeJob::RedeliverUnackedAll() {
   std::shared_lock<std::shared_mutex> lock(slots_mu_);
   size_t total = 0;
   for (auto& s : slots_) total += s.holder->RedeliverUnacked();
-  redelivered_.fetch_add(total, std::memory_order_relaxed);
   return total;
 }
 

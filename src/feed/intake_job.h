@@ -5,7 +5,7 @@
 // loops run as long-lived tasks on their intake node's persistent scheduler.
 //
 // Routing is membership- and congestion-aware (FeedConfig::routing): the
-// rotation skips partitions whose node is dead/draining/suspect and, under
+// rotation skips partitions whose node is dead or suspect and, under
 // queue-depth skew beyond `routing_slack`, diverts to the shallowest
 // routable partition. With a healthy balanced cluster it degrades to the
 // pre-HA blind round-robin exactly.
@@ -78,14 +78,6 @@ class IntakeJob {
   size_t partition_node(size_t p) const;
   size_t partition_count() const;
 
-  uint64_t records_ingested() const {
-    return records_.load(std::memory_order_relaxed);
-  }
-  uint64_t records_redelivered() const {
-    return redelivered_.load(std::memory_order_relaxed);
-  }
-  size_t intake_node_count() const { return adapters_.size(); }
-
  private:
   struct Slot {
     std::shared_ptr<runtime::IntakePartitionHolder> holder;
@@ -112,8 +104,6 @@ class IntakeJob {
   std::vector<Slot> slots_;
   std::vector<std::unique_ptr<FeedAdapter>> adapters_;
   runtime::TaskGroup adapter_tasks_;
-  std::atomic<uint64_t> records_{0};
-  std::atomic<uint64_t> redelivered_{0};
   std::atomic<size_t> live_adapters_{0};
   std::atomic<uint64_t> lease_counter_{0};
   common::FirstError error_;

@@ -11,7 +11,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
-#include "runtime/memory_governor.h"
 
 namespace idea::feed {
 
@@ -65,7 +64,6 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
       &cluster_->node(node).scheduler(),
       [this, p, node, holder = std::move(holder)]() -> Status {
         obs::Tracer& tracer = obs::Tracer::Default();
-        runtime::MemoryGovernor& memgov = cluster_->node(node).memgov();
         const uint64_t salt =
             common::StableHash64(feed_name_) ^ (0x5374ull << 32) ^ p;
         runtime::Frame frame;
@@ -79,15 +77,6 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
           if (alive.IsUnavailable()) {
             holder->Abort(alive);
             break;
-          }
-          // Admit the frame's bytes against the node budget. A spill verdict
-          // means the node is over-committed: shed the memtable (freeing heap
-          // the governor tracks for the LSM side) and proceed unreserved.
-          const uint64_t frame_bytes = frame.byte_size();
-          runtime::Admission admit = memgov.Admit(frame_bytes);
-          if (admit == runtime::Admission::kSpill) {
-            spills_.fetch_add(1, std::memory_order_relaxed);
-            (void)dataset_->FlushMemTable();
           }
           runtime::FrameView view(frame);
           // Re-attempts a record whose first attempt failed with `st`: up to
@@ -202,7 +191,6 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
             return flushed;
           };
           Status stored = store();
-          if (admit != runtime::Admission::kSpill) memgov.Release(frame_bytes);
           if (!stored.ok()) {
             error_.Set(stored);
             if (config_.on_error == OnError::kAbort) {

@@ -11,8 +11,7 @@
 // old holder is poisoned, a fresh holder plus drain task start on the
 // target). Frames carry (origin_partition, lease_id); after a frame's WAL
 // group-commit the ack hook reports it durable so the intake ledger can
-// retire the lease. Frame memory is admitted through the hosting node's
-// MemoryGovernor — a spill verdict sheds the memtable before storing.
+// retire the lease.
 #pragma once
 
 #include <atomic>
@@ -80,8 +79,6 @@ class StorageJob {
   uint64_t dead_letters() const { return dead_letters_.load(std::memory_order_relaxed); }
   /// Write retry attempts spent by the drain loops.
   uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
-  /// Memtable sheds forced by memory-governor spill verdicts.
-  uint64_t governor_spills() const { return spills_.load(std::memory_order_relaxed); }
   /// First storage error (storage failures surface at feed completion).
   Status first_error() const { return error_.Get(); }
 
@@ -116,7 +113,6 @@ class StorageJob {
   std::atomic<uint64_t> skipped_{0};
   std::atomic<uint64_t> dead_letters_{0};
   std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> spills_{0};
   common::FirstError error_;
   bool joined_ = false;
 

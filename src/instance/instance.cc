@@ -125,11 +125,6 @@ void Instance::StartTelemetryPlane() {
     r.body = obs::FlightRecorder::Default().DumpJson();
     return r;
   });
-  admin_server_->Handle("/memgov", [this](const obs::HttpRequest&) {
-    obs::HttpResponse r;
-    r.body = cluster_->MemgovJson();
-    return r;
-  });
   Status st = admin_server_->Start();
   if (!st.ok()) {
     std::fprintf(stderr, "idea: admin server disabled: %s\n",

@@ -35,8 +35,6 @@ const char* FlightEventKindName(FlightEventKind kind) {
       return "node_dead";
     case FlightEventKind::kFailover:
       return "failover";
-    case FlightEventKind::kMemSpill:
-      return "mem_spill";
   }
   return "unknown";
 }

@@ -27,7 +27,6 @@ enum class FlightEventKind : uint8_t {
   kNodeSuspect,
   kNodeDead,
   kFailover,
-  kMemSpill,
 };
 
 const char* FlightEventKindName(FlightEventKind kind);

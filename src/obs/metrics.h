@@ -14,7 +14,7 @@
 // Naming convention: `idea.<subsystem>.<scope>.<name>`, where <scope> is the
 // feed / dataset / UDF the metric belongs to (omitted for process-global
 // metrics). Subsystems in use: intake, compute, storage, eval, plan, lsm,
-// wal, feed, sched, memgov, cluster.
+// wal, feed, sched, cluster.
 #pragma once
 
 #include <atomic>

@@ -59,11 +59,6 @@ bool Tracer::Find(uint64_t id, BatchTrace* out) const {
   return false;
 }
 
-uint64_t Tracer::traces_started() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_id_ - 1;
-}
-
 void Tracer::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   ring_.clear();

@@ -53,7 +53,6 @@ class Tracer {
   /// The trace with the given id, if still retained.
   bool Find(uint64_t id, BatchTrace* out) const;
 
-  uint64_t traces_started() const;
   void Clear();
 
   static Tracer& Default();

@@ -70,7 +70,6 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
   Snapshot snapshot;             // unversioned mode: shared epoch snapshot
   std::map<Value, Value> by_pk;  // versioned mode: records keyed by primary key
   std::unordered_map<uint64_t, std::vector<HashEntry>> hash;
-  size_t hash_bytes = 0;
   bool versioned = false;
   uint64_t base_seq = DatasetAccessor::kUnversioned;  // state current through
   std::string pk_field;
@@ -137,10 +136,6 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     probe_cache[Value::Hash(key)].push_back(ProbeCacheEntry{key, records});
   }
 
-  static size_t HashEntryBytes(const Value& key) {
-    return key.EstimateSize() + sizeof(void*) + 16;
-  }
-
   void InsertHashEntry(const Value& pk, const Value& rec) {
     const Value& key = rec.GetFieldOrMissing(ref_field);
     if (key.IsUnknown()) return;
@@ -148,7 +143,6 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     auto pos = bucket.begin();
     while (pos != bucket.end() && Value::Compare(*pos->pk, pk) < 0) ++pos;
     bucket.insert(pos, HashEntry{key, &pk, &rec});
-    hash_bytes += HashEntryBytes(key);
   }
 
   void RemoveHashEntry(const Value& pk, const Value& rec) {
@@ -159,7 +153,6 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     std::vector<HashEntry>& bucket = it->second;
     for (auto e = bucket.begin(); e != bucket.end(); ++e) {
       if (e->pk != nullptr && Value::Compare(*e->pk, pk) == 0) {
-        hash_bytes -= std::min(hash_bytes, HashEntryBytes(e->key));
         bucket.erase(e);
         break;
       }
@@ -167,18 +160,8 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     if (bucket.empty()) hash.erase(it);
   }
 
-  /// Mirrors the state's current footprint into the per-init PlanStats
-  /// (Initialize() zeroes these, every refresh path re-reports them).
-  void ReportSizes() {
-    if (kind != AccessPathKind::kScan && kind != AccessPathKind::kHashBuildProbe) return;
-    stats->snapshot_records +=
-        versioned ? by_pk.size() : (snapshot != nullptr ? snapshot->size() : 0);
-    if (kind == AccessPathKind::kHashBuildProbe) stats->hash_build_bytes += hash_bytes;
-  }
-
   Status FullRebuild() {
     hash.clear();
-    hash_bytes = 0;
     snapshot.reset();
     by_pk.clear();
     versioned = false;
@@ -210,14 +193,7 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
           const Value& key = rec.GetFieldOrMissing(ref_field);
           if (key.IsUnknown()) continue;
           hash[Value::Hash(key)].push_back(HashEntry{key, nullptr, &rec});
-          hash_bytes += HashEntryBytes(key);
         }
-      }
-      if (hash_bytes > config->max_hash_build_bytes) {
-        // Paper §4.3.4 Case 2: the build side exceeds memory. In Model 2
-        // the join input is a finite batch, so the (simulated) spill still
-        // completes; we surface the condition to callers.
-        stats->would_spill = true;
       }
     }
     return Status::OK();
@@ -267,10 +243,7 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     }
     if (config->enable_delta_refresh && versioned) {
       uint64_t cur = datasets->CurrentSeq(dataset);
-      if (cur == base_seq) {
-        ReportSizes();
-        return RefreshKind::kNoop;
-      }
+      if (cur == base_seq) return RefreshKind::kNoop;
       if (cur != DatasetAccessor::kUnversioned && cur > base_seq) {
         std::vector<DatasetChange> changes;
         Status st = datasets->ScanDelta(dataset, base_seq, cur, &changes);
@@ -281,11 +254,6 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
           for (DatasetChange& c : changes) ApplyChange(std::move(c));
           base_seq = cur;
           stats->delta_records_applied += changes.size();
-          if (kind == AccessPathKind::kHashBuildProbe &&
-              hash_bytes > config->max_hash_build_bytes) {
-            stats->would_spill = true;
-          }
-          ReportSizes();
           return RefreshKind::kDelta;
         }
         // Wrapped changelog ring or oversized delta: fall through to rebuild.
@@ -293,7 +261,6 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
       // cur < base_seq means the dataset was dropped and re-created: rebuild.
     }
     IDEA_RETURN_NOT_OK(FullRebuild());
-    ReportSizes();
     return RefreshKind::kFull;
   }
 
@@ -716,8 +683,6 @@ EnrichmentPlan::~EnrichmentPlan() = default;
 Status EnrichmentPlan::Initialize() {
   WallTimer timer;
   timer.Start();
-  stats_.hash_build_bytes = 0;
-  stats_.snapshot_records = 0;
   const uint64_t delta_before = stats_.delta_records_applied;
   bool any_full = false;
   bool any_delta = false;
@@ -727,7 +692,6 @@ Status EnrichmentPlan::Initialize() {
     any_delta |= kind == RefreshKind::kDelta;
   }
   stats_.last_init_micros = timer.ElapsedMicros();
-  stats_.total_init_micros += stats_.last_init_micros;
   ++stats_.initializations;
   if (init_us_ != nullptr) init_us_->Record(stats_.last_init_micros);
   // The invocation's overall cost class is its most expensive path refresh.
@@ -769,7 +733,6 @@ Result<adm::Value> EnrichmentPlan::EnrichOne(const adm::Value& record) {
   IDEA_ASSIGN_OR_RETURN(
       Value result,
       evaluator_->CallSqlppFunction(*def_, ArgView(&record, 1), &root));
-  ++stats_.records_enriched;
   if (records_metric_ != nullptr) records_metric_->Increment();
   // A SQL++ function returns the collection its SELECT produces; an
   // enrichment body emits one row per input record, which we unwrap.

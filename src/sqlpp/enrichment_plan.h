@@ -6,8 +6,9 @@
 //   * hash build + probe   (scan the reference dataset once per computing
 //                           job, build an in-memory hash table — the
 //                           "intermediate state" that Model 2 refreshes per
-//                           batch; an oversized build is flagged as the
-//                           paper's Case-2 spill),
+//                           batch; the build always stays in memory: the
+//                           paper's Case 2, a build side that spills, is
+//                           not modelled),
 //   * index nested loop    (B-tree equality or R-tree spatial; probes the
 //                           *live* index so updates are visible mid-job),
 //   * snapshot scan        (naive nested loop; also the /*+ skip-index */
@@ -42,10 +43,6 @@ namespace idea::sqlpp {
 
 /// Planner configuration.
 struct PlanConfig {
-  /// Hash-join build budget; a build above this is recorded as a spill
-  /// (paper §4.3.4 Case 2). The build still completes in this reproduction —
-  /// Model 2 joins are per-batch and finite — but the flag is surfaced.
-  size_t max_hash_build_bytes = 64ull << 20;
   /// Allow the planner to pick index nested-loop joins when an index exists.
   bool prefer_index = true;
   /// Cache intermediate state across Initialize() calls and refresh it from
@@ -78,11 +75,6 @@ enum class RefreshKind : uint8_t {
 struct PlanStats {
   uint64_t initializations = 0;     // intermediate-state refreshes
   double last_init_micros = 0;      // cost of the latest Initialize()
-  double total_init_micros = 0;
-  size_t hash_build_bytes = 0;      // bytes in hash tables after last init
-  size_t snapshot_records = 0;      // records snapshotted after last init
-  bool would_spill = false;         // any build exceeded the memory budget
-  uint64_t records_enriched = 0;
   uint64_t index_probes = 0;
   uint64_t probe_cache_hits = 0;    // index probes answered from the memo
   uint64_t probe_cache_misses = 0;  // memo-eligible probes that went live

@@ -214,16 +214,6 @@ TEST(AdminServerTest, InstanceTelemetryPlaneEndToEnd) {
   }
   EXPECT_TRUE(saw_start) << *flight;
   EXPECT_TRUE(saw_stop) << *flight;
-
-  // /memgov: per-node memory-governor budgets and admission stats.
-  auto memgov = HttpGet("127.0.0.1", port, "/memgov");
-  ASSERT_TRUE(memgov.ok());
-  parsed = adm::ParseJson(*memgov);
-  ASSERT_TRUE(parsed.ok()) << memgov->substr(0, 500);
-  const adm::Value* nodes = parsed->GetField("nodes");
-  ASSERT_NE(nodes, nullptr) << *memgov;
-  ASSERT_GT(nodes->AsArray().size(), 0u);
-  EXPECT_GT(nodes->AsArray()[0].GetField("budget_bytes")->AsInt(), 0);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Elastic membership, feed failover, and the memory governor: the epoch-
-// stamped roster, heartbeat-driven suspect/dead transitions, the intake
-// lease ledger's at-least-once redelivery, congestion-aware routing, the
-// per-node admission governor, and the end-to-end chaos soak — kill a node
-// mid-feed at a randomized point and prove the stored contents are
-// bit-identical to a clean run.
+// Cluster liveness and feed failover: the fixed, epoch-stamped roster,
+// heartbeat-driven suspect/dead transitions, the intake lease ledger's
+// at-least-once redelivery, congestion-aware routing, and the end-to-end
+// chaos soak — kill a node mid-feed at a randomized point and prove the
+// stored contents are bit-identical to a clean run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,6 @@
 #include "feed/active_feed_manager.h"
 #include "feed/intake_job.h"
 #include "obs/metrics.h"
-#include "runtime/memory_governor.h"
 #include "runtime/partition_holder.h"
 
 namespace idea {
@@ -32,9 +30,6 @@ using cluster::MembershipTable;
 using cluster::NodeState;
 using common::FaultInjector;
 using common::FaultSpec;
-using runtime::Admission;
-using runtime::MemoryGovernor;
-using runtime::MemoryGovernorOptions;
 
 class ClusterHaTest : public ::testing::Test {
  protected:
@@ -68,7 +63,7 @@ TEST_F(ClusterHaTest, MembershipEpochAdvancesOnEveryRealTransition) {
 
   ASSERT_TRUE(table.SetState(0, NodeState::kDead).ok());
   EXPECT_TRUE(table.IsDead(0));
-  // Dead is terminal: rejoin happens as a *new* node.
+  // Dead is terminal.
   EXPECT_FALSE(table.SetState(0, NodeState::kAlive).ok());
   EXPECT_EQ(table.AliveNodes(), std::vector<size_t>{1});
   // Out-of-range nodes read as dead, never routable.
@@ -136,91 +131,27 @@ TEST_F(ClusterHaTest, DroppedHeartbeatsKillTheWholeRosterDeterministically) {
   EXPECT_TRUE(cluster.CheckAlive(0).IsUnavailable());
 }
 
-TEST_F(ClusterHaTest, AddAndDrainGrowAndQuiesceTheRoster) {
+TEST_F(ClusterHaTest, RosterIsFixedAndFailedNodesKeepTheirSlot) {
   cluster::ClusterConfig cc;
-  cc.nodes = 2;
+  cc.nodes = 3;
   cc.mode = cluster::ExecutionMode::kThreads;
   cluster::Cluster cluster(cc);
-  EXPECT_EQ(cluster.node_count(), 2u);
-
-  const size_t added = cluster.AddNode();
-  EXPECT_EQ(added, 2u);
   EXPECT_EQ(cluster.node_count(), 3u);
   EXPECT_EQ(cluster.membership().size(), 3u);
-  EXPECT_TRUE(cluster.membership().IsRoutable(added));
-  // The new node is schedulable immediately.
-  EXPECT_TRUE(cluster.CheckAlive(added).ok());
+  for (size_t n = 0; n < cluster.node_count(); ++n) {
+    EXPECT_EQ(cluster.node(n).index(), n);
+    EXPECT_TRUE(cluster.CheckAlive(n).ok());
+  }
+  // Nothing exists past the roster built from the config.
+  EXPECT_TRUE(cluster.CheckAlive(cluster.node_count()).IsUnavailable());
 
-  ASSERT_TRUE(cluster.DrainNode(0).ok());
-  EXPECT_EQ(cluster.membership().state(0), NodeState::kDraining);
+  ASSERT_TRUE(cluster.membership().SetState(0, NodeState::kSuspect).ok());
   EXPECT_FALSE(cluster.membership().IsRoutable(0));
   ASSERT_TRUE(cluster.FailNode(1).ok());
   EXPECT_TRUE(cluster.CheckAlive(1).IsUnavailable());
   EXPECT_EQ(cluster.membership().RoutableNodes(), std::vector<size_t>{2});
-}
-
-// ---------------------------------------------------------------------------
-// Memory governor
-
-TEST_F(ClusterHaTest, GovernorGrantsWithinBudgetAndSpillsOversizedRequests) {
-  MemoryGovernorOptions opt;
-  opt.budget_bytes = 1024;
-  opt.max_delay_us = 500;
-  MemoryGovernor gov("test-gov-a", opt);
-
-  EXPECT_EQ(gov.Admit(0), Admission::kGranted);
-  EXPECT_EQ(gov.Admit(600), Admission::kGranted);
-  EXPECT_EQ(gov.Stats().used_bytes, 600u);
-  // Larger than the whole budget: immediate spill, nothing reserved.
-  EXPECT_EQ(gov.Admit(4096), Admission::kSpill);
-  EXPECT_EQ(gov.Stats().used_bytes, 600u);
-  // Over-committed and nobody releases: delay expires into a spill with no
-  // reservation either (the caller sheds instead).
-  EXPECT_EQ(gov.Admit(600), Admission::kSpill);
-  EXPECT_EQ(gov.Stats().used_bytes, 600u);
-  gov.Release(600);
-  EXPECT_EQ(gov.Stats().used_bytes, 0u);
-  EXPECT_EQ(gov.Stats().spills, 2u);
-  EXPECT_LE(gov.Stats().used_high_watermark, opt.budget_bytes);
-}
-
-TEST_F(ClusterHaTest, GovernorDelayedAdmissionSucceedsOnceMemoryFrees) {
-  MemoryGovernorOptions opt;
-  opt.budget_bytes = 1024;
-  opt.max_delay_us = 2'000'000;  // ample; the release arrives in ~5ms
-  MemoryGovernor gov("test-gov-b", opt);
-  ASSERT_EQ(gov.Admit(900), Admission::kGranted);
-
-  std::thread releaser([&]() {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    gov.Release(900);
-  });
-  EXPECT_EQ(gov.Admit(900), Admission::kGrantedAfterDelay);
-  releaser.join();
-  EXPECT_EQ(gov.Stats().used_bytes, 900u);
-  EXPECT_GE(gov.Stats().delayed, 1u);
-  gov.Release(900);
-}
-
-TEST_F(ClusterHaTest, GovernorHoldResizesAndNeverExceedsBudget) {
-  MemoryGovernorOptions opt;
-  opt.budget_bytes = 1024;
-  opt.max_delay_us = 100;
-  MemoryGovernor gov("test-gov-c", opt);
-  uint64_t hold = 0;
-  EXPECT_EQ(gov.UpdateHold(&hold, 500), Admission::kGranted);
-  EXPECT_EQ(hold, 500u);
-  EXPECT_EQ(gov.Stats().used_bytes, 500u);
-  // Shrink releases the delta.
-  EXPECT_EQ(gov.UpdateHold(&hold, 200), Admission::kGranted);
-  EXPECT_EQ(hold, 200u);
-  EXPECT_EQ(gov.Stats().used_bytes, 200u);
-  // Growth past the budget is capped at what fits; used never exceeds it.
-  EXPECT_EQ(gov.UpdateHold(&hold, 4096), Admission::kSpill);
-  EXPECT_EQ(hold, opt.budget_bytes);
-  EXPECT_EQ(gov.Stats().used_bytes, opt.budget_bytes);
-  EXPECT_LE(gov.Stats().used_high_watermark, opt.budget_bytes);
-  gov.Release(hold);
+  // A dead node keeps its index; the roster does not shrink.
+  EXPECT_EQ(cluster.node_count(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +402,7 @@ TEST_F(ClusterHaTest, KillANodeSoakLeavesContentsBitIdentical) {
   }
 }
 
-TEST_F(ClusterHaTest, FailoverStatsRecordTheRecoveryAndGovernorStaysBounded) {
+TEST_F(ClusterHaTest, FailoverStatsRecordTheRecovery) {
   auto records = SoakRecords(400);
   FaultInjector::Default().Reseed(77);
   FaultInjector::Default().Arm("node.kill", FaultSpec::Nth(3));
@@ -479,8 +410,6 @@ TEST_F(ClusterHaTest, FailoverStatsRecordTheRecoveryAndGovernorStaysBounded) {
   cluster::ClusterConfig cc;
   cc.nodes = 3;
   cc.mode = cluster::ExecutionMode::kThreads;
-  cc.memgov.budget_bytes = 8192;  // tiny: force delay/spill admissions
-  cc.memgov.max_delay_us = 200;
   cluster::Cluster cluster(cc);
   storage::Catalog catalog;
   feed::UdfRegistry udfs;
@@ -507,16 +436,6 @@ TEST_F(ClusterHaTest, FailoverStatsRecordTheRecoveryAndGovernorStaysBounded) {
   EXPECT_EQ(catalog.FindDataset("D")->LiveRecordCount(), 400u);
   EXPECT_GE(stats->failovers, 1u);
   EXPECT_GT(stats->last_recovery_us, 0.0);
-  // The governor's cardinal invariant: admission never pushes a node past
-  // its budget, no matter how the failover shuffled the load.
-  for (size_t n = 0; n < cluster.node_count(); ++n) {
-    const auto gstats = cluster.node(n).memgov().Stats();
-    EXPECT_LE(gstats.used_high_watermark, gstats.budget_bytes) << "node " << n;
-  }
-  // The admin surface reports the same plane.
-  const std::string json = cluster.MemgovJson();
-  EXPECT_NE(json.find("\"nodes\""), std::string::npos);
-  EXPECT_NE(json.find("\"budget_bytes\""), std::string::npos);
 }
 
 }  // namespace
