@@ -1,17 +1,18 @@
 // Cluster liveness: an epoch-stamped roster of node states plus a
 // heartbeat-driven health monitor. The paper's framework assumes a healthy
-// node set; this module relaxes that so the Active Feed Manager can re-plan
-// partition maps when a node dies mid-feed (the Grover & Carey
-// fault-tolerant-feeds recovery model) and the intake router can steer
-// traffic away from suspect or dead nodes. The set of nodes itself is fixed
-// when the cluster is built (cluster_controller.h); only their states move.
+// node set; this module relaxes that so the Active Feed Manager can move a
+// partition's tasks off a node that dies mid-feed (the Grover & Carey
+// fault-tolerant-feeds recovery model). The intake router reads none of it:
+// every partition keeps getting records whatever its node's state. The set
+// of nodes itself is fixed when the cluster is built (cluster_controller.h);
+// only their states move.
 //
 // The MembershipTable is the single source of truth: every state transition
-// bumps a monotonically increasing epoch, so holders / routers / the AFM can
-// cache a roster view and cheaply detect staleness by comparing epochs. The
-// HealthMonitor runs on its own virtual clock (advanced explicitly by whoever
-// drives the feed) so figure benches and chaos soaks stay deterministic — no
-// background threads, no wall-clock coupling.
+// bumps a monotonically increasing epoch, published with the per-state node
+// counts as idea.cluster.* gauges. The HealthMonitor runs on its own virtual
+// clock (advanced explicitly by whoever drives the feed) so figure benches
+// and chaos soaks stay deterministic — no background threads, no wall-clock
+// coupling.
 #pragma once
 
 #include <atomic>
@@ -30,16 +31,17 @@ class Counter;
 namespace idea::cluster {
 
 /// Liveness of one node in the roster.
-///   kAlive   — healthy; full traffic.
-///   kSuspect — missed heartbeats; still executing, but congestion-aware
-///              routing steers new records away until it beats again.
-///   kDead    — declared failed; its partitions must be relocated. Terminal.
+///   kAlive   — healthy.
+///   kSuspect — missed heartbeats; still executing and keeps its partitions,
+///              but HA feeds place no new ones on it (at start or failover)
+///              until it beats again.
+///   kDead    — declared failed; its partitions' tasks move to survivors.
+///              Terminal.
 enum class NodeState : uint8_t { kAlive, kSuspect, kDead };
 
 const char* NodeStateName(NodeState state);
 
-/// Epoch-stamped roster. Thread-safe; reads are mutex-guarded but cheap (the
-/// hot router path reads through a cached epoch check first).
+/// Epoch-stamped roster. Thread-safe; reads are mutex-guarded.
 class MembershipTable {
  public:
   MembershipTable() = default;
@@ -52,8 +54,7 @@ class MembershipTable {
   size_t size() const;
 
   /// Roster version: bumped on every state change and on AddNode. Starts at 1
-  /// once the first node registers. Lock-free — routers poll this per record
-  /// and only take the roster lock when it moved.
+  /// once the first node registers. Lock-free.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   NodeState state(size_t node) const;
@@ -67,12 +68,12 @@ class MembershipTable {
   /// they have — they are avoided, not fenced).
   bool IsAlive(size_t node) const;
   bool IsDead(size_t node) const;
-  /// Node may receive *new* traffic / partitions: kAlive only.
+  /// Node may take *new* partitions (HA feed start, failover): kAlive only.
   bool IsRoutable(size_t node) const;
 
   /// Indices of all kAlive/kSuspect nodes, ascending.
   std::vector<size_t> AliveNodes() const;
-  /// Indices of all kAlive nodes (failover placement targets), ascending.
+  /// Indices of all kAlive nodes (placement targets), ascending.
   std::vector<size_t> RoutableNodes() const;
 
  private:

@@ -84,10 +84,11 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
     });
   }
   IDEA_RETURN_NOT_OK(feed->storage->Start(placement));
-  IDEA_RETURN_NOT_OK(
-      feed->intake->Start(args.adapter_factory, args.config, placement, feed->dlq.get()));
+  IDEA_RETURN_NOT_OK(feed->intake->Start(args.adapter_factory, args.config,
+                                         placement.size(), feed->dlq.get()));
   for (size_t p = 0; p < placement.size(); ++p) {
-    feed->routes.push_back(RouteOf(*feed, p));
+    feed->routes.push_back(ComputingJob::Route{placement[p], feed->intake->holder(p),
+                                               feed->storage->holder(p)});
   }
   // The intake job asks the AFM to keep invoking computing jobs (§6.1);
   // the driver task on the CC's pool is that loop.
@@ -226,30 +227,9 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
     feed->stats.records_ingested -=
         std::min(feed->stats.records_ingested, storage_rejects);
   }
-  // Fold the holders' back-pressure view into the feed summary now that the
-  // pipeline is quiescent.
-  FeedRuntimeStats holder_summary;
-  for (size_t p = 0; p < feed->intake->partition_count(); ++p) {
-    runtime::HolderStats in = feed->intake->holder(p)->stats();
-    runtime::HolderStats st = feed->storage->holder(p)->stats();
-    holder_summary.intake_queue_high_watermark =
-        std::max(holder_summary.intake_queue_high_watermark,
-                 in.queue_depth_high_watermark);
-    holder_summary.storage_queue_high_watermark =
-        std::max(holder_summary.storage_queue_high_watermark,
-                 st.queue_depth_high_watermark);
-    holder_summary.blocked_pushes += in.blocked_pushes + st.blocked_pushes;
-    holder_summary.blocked_pulls += in.blocked_pulls + st.blocked_pulls;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    feed->stats.intake_queue_high_watermark = holder_summary.intake_queue_high_watermark;
-    feed->stats.storage_queue_high_watermark =
-        holder_summary.storage_queue_high_watermark;
-    feed->stats.blocked_pushes = holder_summary.blocked_pushes;
-    feed->stats.blocked_pulls = holder_summary.blocked_pulls;
     feed->stats.wall_micros_total = lifetime.ElapsedMicros();
-    feed->finished = true;
   }
   const Status outcome = feed->final_status.Get();
   if (outcome.ok()) {
@@ -261,11 +241,6 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
                                           feed->config.name, outcome.ToString());
     if (!feed->config.post_mortem_dir.empty()) WritePostMortem(*feed, outcome);
   }
-}
-
-ComputingJob::Route ActiveFeedManager::RouteOf(const ActiveFeed& feed, size_t p) {
-  return ComputingJob::Route{feed.intake->partition_node(p), feed.intake->holder(p),
-                             feed.storage->holder(p)};
 }
 
 Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
@@ -300,19 +275,28 @@ Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
   for (const ComputingJob::Route& route : routes) {
     if (!membership.IsDead(route.node)) load[route.node]++;
   }
+  // The intake holders stay put: a partition's records keep waiting where
+  // they are, and only the node that runs its tasks changes. Its storage
+  // drain restarts on the target with a fresh holder, because the dead
+  // node's drain may have poisoned the old one.
   for (size_t p : victims) {
     size_t best = targets[0];
     for (size_t t : targets) {
       if (load[t] < load[best]) best = t;
     }
-    IDEA_RETURN_NOT_OK(feed->intake->RelocatePartition(p, best));
     IDEA_RETURN_NOT_OK(feed->storage->RelocatePartition(p, best));
-    routes[p] = RouteOf(*feed, p);
+    obs::FlightRecorder::Default().Record(
+        obs::FlightEventKind::kFailover, feed->config.name,
+        "partition " + std::to_string(p) + ": node-" + std::to_string(routes[p].node) +
+            " -> node-" + std::to_string(best),
+        static_cast<int>(p));
+    routes[p].node = best;
+    routes[p].storage = feed->storage->holder(p);
     load[best]++;
   }
   // At-least-once: everything pulled but not fully acked goes back to the
-  // front of its (possibly relocated) queue. Duplicates are harmless — the
-  // storage path upserts by primary key.
+  // front of its partition's queue. Duplicates are harmless — the storage
+  // path upserts by primary key.
   const size_t redelivered = feed->intake->RedeliverUnackedAll();
   const double recovery_us = timer.ElapsedMicros();
   {

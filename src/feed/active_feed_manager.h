@@ -84,11 +84,10 @@ class ActiveFeedManager {
     std::shared_ptr<DeadLetterQueue> dlq;
     FeedRuntimeStats stats;
     common::FirstError final_status;
-    bool finished = false;
 
     /// Partition p's hosting node and holders, and the failover budget.
     /// Only the feed's DriveFeed loop reads them after StartFeed; its
-    /// RecoverFeed calls re-plan them between invocations.
+    /// RecoverFeed calls re-point them between invocations.
     std::vector<ComputingJob::Route> routes;
     uint32_t failovers_done = 0;
     /// NowMicros() when the last recovery finished; cleared by the first
@@ -97,13 +96,12 @@ class ActiveFeedManager {
   };
 
   void DriveFeed(ActiveFeed* feed);
-  /// Feed failover (Grover & Carey recovery model): relocates every
-  /// partition hosted on a dead node to the least-loaded live node, updates
-  /// the routes, and redelivers unacked leased batches. A no-op when no
-  /// partition sits on a dead node. Runs on the feed's DriveFeed loop only.
+  /// Feed failover (Grover & Carey recovery model): re-points every
+  /// partition hosted on a dead node to the least-loaded live node, restarts
+  /// its storage drain there, and redelivers unacked leased batches. A no-op
+  /// when no partition sits on a dead node. Runs on the feed's DriveFeed loop
+  /// only.
   Status RecoverFeed(ActiveFeed* feed);
-  /// Partition p's route as the intake and storage jobs hold it now.
-  static ComputingJob::Route RouteOf(const ActiveFeed& feed, size_t p);
   /// Pulls leftover intake batches after a failure so adapters blocked on a
   /// full holder can finish and EOF lands.
   void DrainIntakeBacklog(ActiveFeed* feed);

@@ -27,8 +27,8 @@ bool IsRetryable(const Status& st) {
     case StatusCode::kInvalidArgument:
     case StatusCode::kParseError:
     // Unavailable = the hosting node died; retrying on the same node cannot
-    // succeed. It must surface to the Active Feed Manager, which re-plans
-    // the partition map and resumes (feed failover).
+    // succeed. It must surface to the Active Feed Manager, which re-points
+    // the partition's tasks and resumes (feed failover).
     case StatusCode::kUnavailable:
       return false;
     default:
@@ -171,10 +171,6 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
         uint64_t lease = 0;
         double t0 = obs::NowMicros();
         if (!intake->PullBatch(quota(p), &raw, config.ha_failover ? &lease : nullptr)) {
-          // A poisoned (relocated) holder reports kUnavailable — that is a
-          // failover signal, not exhaustion.
-          Status herr = intake->first_error();
-          if (herr.code() == StatusCode::kUnavailable) return herr;
           exhausted_nodes.fetch_add(1);
           return Status::OK();
         }

@@ -9,12 +9,13 @@
 // The Active Feed Manager owns one ComputingJob per running feed. Deploy
 // compiles one artifact per node (parser + forked enrichment plan or native
 // UDF instance) at START FEED: the parameterized predeployed job of §5.1.
-// The cluster's roster is fixed, so every node a partition can be routed or
-// failed over to holds an artifact. Each invocation then only hands every partition its hosting node and its
-// intake and storage holders (Route); per-node work runs as tasks on each
-// node's persistent scheduler, so repeated invocations recycle threads the
-// way the predeployed job recycles compiled plans. Invocations run one at a
-// time, so every batch sees the state refreshed after the previous batch.
+// The cluster's roster is fixed, so every node a partition can be placed on
+// or failed over to holds an artifact. Each invocation then only hands every
+// partition its hosting node and its intake and storage holders (Route);
+// per-node work runs as tasks on each node's persistent scheduler, so
+// repeated invocations recycle threads the way the predeployed job recycles
+// compiled plans. Invocations run one at a time, so every batch sees the
+// state refreshed after the previous batch.
 #pragma once
 
 #include <memory>
@@ -86,10 +87,9 @@ class ComputingJob {
   /// per stage goes to the idea.compute.<feed>.*_cpu_us histograms.
   /// Failure handling follows config.on_error / config.max_retries; under
   /// the dead-letter policy rejected records are parked in `dlq` when
-  /// provided. A kUnavailable result means a hosting node died or a holder
-  /// was relocated mid-invocation — the Active Feed Manager re-plans the
-  /// routes and resumes (not a feed failure). Not reentrant: one invocation
-  /// at a time.
+  /// provided. A kUnavailable result means a hosting node died
+  /// mid-invocation — the Active Feed Manager re-points the routes and
+  /// resumes (not a feed failure). Not reentrant: one invocation at a time.
   Result<ComputingInvocation> RunOnce(const std::vector<Route>& routes,
                                       DeadLetterQueue* dlq = nullptr);
 

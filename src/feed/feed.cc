@@ -29,29 +29,6 @@ const char* OnErrorName(OnError policy) {
   return "abort";
 }
 
-Result<RoutingPolicy> ParseRoutingPolicy(const std::string& name) {
-  std::string n = ToLowerAscii(name);
-  for (char& c : n) {
-    if (c == '_') c = '-';
-  }
-  if (n == "round-robin" || n == "roundrobin" || n == "rr") {
-    return RoutingPolicy::kRoundRobin;
-  }
-  if (n == "congestion" || n == "congestion-aware" || n == "adaptive") {
-    return RoutingPolicy::kCongestion;
-  }
-  return Status::InvalidArgument("unknown routing policy '" + name +
-                                 "' (want round-robin | congestion)");
-}
-
-const char* RoutingPolicyName(RoutingPolicy policy) {
-  switch (policy) {
-    case RoutingPolicy::kRoundRobin: return "round-robin";
-    case RoutingPolicy::kCongestion: return "congestion";
-  }
-  return "round-robin";
-}
-
 Result<AdapterFactory> MakeAdapterFactory(
     const std::map<std::string, std::string>& config) {
   auto get = [&](const std::string& key) -> std::string {

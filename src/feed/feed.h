@@ -25,16 +25,6 @@ enum class OnError : uint8_t {
 Result<OnError> ParseOnError(const std::string& name);
 const char* OnErrorName(OnError policy);
 
-/// Intake -> partition routing policy.
-enum class RoutingPolicy : uint8_t {
-  kRoundRobin,  // blind rotation over partitions (pre-HA behavior)
-  kCongestion,  // rotation that diverts from deep/suspect/dead partitions
-};
-
-/// "round-robin" | "congestion" (case-insensitive; '_' == '-').
-Result<RoutingPolicy> ParseRoutingPolicy(const std::string& name);
-const char* RoutingPolicyName(RoutingPolicy policy);
-
 /// Static description of a feed (CREATE FEED ... WITH {...}).
 struct FeedConfig {
   std::string name;
@@ -63,21 +53,15 @@ struct FeedConfig {
   /// longer than this (dead consumer) fails with TimedOut instead of
   /// deadlocking. 0 = wait forever.
   uint64_t holder_push_deadline_us = 120 * 1000 * 1000ull;
-  /// How intake adapters pick the partition for each record. Congestion
-  /// routing degrades to exact round-robin while queue depths are balanced
-  /// (ties keep the rotation), so figure benches are unchanged; under skew it
-  /// diverts to the shallowest routable partition, and it always skips
-  /// partitions whose node is dead (suspect too, until the node heartbeats
-  /// again).
-  RoutingPolicy routing = RoutingPolicy::kCongestion;
-  /// Records of queue-depth skew tolerated before congestion routing diverts
-  /// a record off its round-robin partition.
+  /// Records of queue-depth skew tolerated before the intake router diverts
+  /// a record off its round-robin partition to the shallowest one. While
+  /// depths stay within it, routing is exact round-robin.
   size_t routing_slack = 64;
   /// Survive node death: plan partitions over the live membership roster,
-  /// lease pulled batches for at-least-once redelivery, and relocate the
-  /// partitions of a node that dies mid-feed onto survivors (WAL + PK
-  /// idempotence keep the stored contents bit-identical). Off by default:
-  /// non-HA feeds keep the fail-fast pre-HA behavior and zero ledger cost.
+  /// lease pulled batches for at-least-once redelivery, and move the tasks
+  /// of a node that dies mid-feed onto survivors (WAL + PK idempotence keep
+  /// the stored contents bit-identical). Off by default: non-HA feeds keep
+  /// the fail-fast pre-HA behavior and zero ledger cost.
   bool ha_failover = false;
   /// Distinct dead nodes a feed survives before giving up (ha_failover).
   uint32_t max_failovers = 2;
@@ -113,13 +97,6 @@ struct FeedRuntimeStats {
   uint64_t computing_jobs = 0;     // invocations (dynamic framework)
   double compute_micros_total = 0; // Σ wall time of computing jobs
   double wall_micros_total = 0;    // feed lifetime
-
-  // Back-pressure summary, aggregated from the feed's partition-holder
-  // metrics when the pipeline drains (see HolderStats).
-  uint64_t intake_queue_high_watermark = 0;   // max records queued on any node
-  uint64_t storage_queue_high_watermark = 0;  // max frames queued on any node
-  uint64_t blocked_pushes = 0;  // intake pushes stalled on a full queue
-  uint64_t blocked_pulls = 0;   // batch pulls that waited for records
 
   // HA summary (ha_failover feeds).
   uint64_t failovers = 0;           // partition-map re-plans after node deaths

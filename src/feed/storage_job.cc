@@ -41,10 +41,7 @@ Status StorageJob::Start(const std::vector<size_t>& placement) {
     auto holder = std::make_shared<runtime::StoragePartitionHolder>(
         runtime::PartitionHolderId{feed_name_, "storage", p});
     holder->set_push_deadline_us(config_.holder_push_deadline_us);
-    {
-      std::unique_lock<std::shared_mutex> lock(slots_mu_);
-      slots_.push_back(Slot{holder, node});
-    }
+    holders_.push_back(holder);
     IDEA_RETURN_NOT_OK(LaunchDrain(p, node, std::move(holder)));
   }
   return Status::OK();
@@ -71,8 +68,8 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
         while (holder->Pop(&frame)) {
           // Liveness probe: the node.kill fault site fires here, modeling the
           // drain's node dying between frames. A dead verdict is NOT a feed
-          // error — the holder is poisoned so stranded producers re-resolve,
-          // and the Active Feed Manager relocates the partition.
+          // error — the holder is poisoned so blocked producers fail fast,
+          // and the Active Feed Manager restarts the drain on a survivor.
           Status alive = cluster_->CheckAlive(node);
           if (alive.IsUnavailable()) {
             holder->Abort(alive);
@@ -141,7 +138,6 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
                 failed = dataset_->UpsertBatch(
                     std::span<adm::Value>(records).subspan(i, hit_end - i), &applied);
               }
-              stored_.fetch_add(applied, std::memory_order_relaxed);
               i += applied;
               if (i == n) break;
               if (failed.ok()) {
@@ -151,10 +147,7 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
               Status written = retry(i, failed);
               ++i;
               hit_end = std::max(hit_end, i);
-              if (written.ok()) {
-                stored_.fetch_add(1, std::memory_order_relaxed);
-                continue;
-              }
+              if (written.ok()) continue;
               if (config_.on_error == OnError::kDeadLetter && dlq_ != nullptr) {
                 Result<adm::Value> rec = view[i - 1].Decode();
                 dlq_->Add(DeadLetter{rec.ok() ? rec->ToString() : std::string(),
@@ -205,47 +198,30 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
 }
 
 Status StorageJob::RelocatePartition(size_t p, size_t target_node) {
-  std::shared_ptr<runtime::StoragePartitionHolder> old_holder;
-  size_t old_node = 0;
-  std::shared_ptr<runtime::StoragePartitionHolder> fresh;
-  {
-    std::unique_lock<std::shared_mutex> lock(slots_mu_);
-    if (p >= slots_.size()) {
-      return Status::NotFound("storage: no partition " + std::to_string(p));
-    }
-    Slot& slot = slots_[p];
-    if (slot.node == target_node) return Status::OK();
-    old_holder = slot.holder;
-    old_node = slot.node;
-    fresh = std::make_shared<runtime::StoragePartitionHolder>(
-        runtime::PartitionHolderId{feed_name_, "storage", p});
-    fresh->set_push_deadline_us(config_.holder_push_deadline_us);
-    slot.holder = fresh;
-    slot.node = target_node;
+  if (p >= holders_.size()) {
+    return Status::NotFound("storage: no partition " + std::to_string(p));
   }
+  auto fresh = std::make_shared<runtime::StoragePartitionHolder>(
+      runtime::PartitionHolderId{feed_name_, "storage", p});
+  fresh->set_push_deadline_us(config_.holder_push_deadline_us);
+  std::shared_ptr<runtime::StoragePartitionHolder> stranded =
+      std::exchange(holders_[p], fresh);
   // Poison the stranded holder: its drain loop (on the dead node) exits, and
-  // blocked computing-job pushes fail fast with kUnavailable so they retry
-  // against the refreshed roster. Frames queued there are dropped — their
-  // leases stay unacked, so redelivery reconstructs the records.
-  old_holder->Abort(Status::Unavailable("node-" + std::to_string(old_node) +
-                                        " died; storage partition " +
-                                        std::to_string(p) + " relocating"));
-  obs::FlightRecorder::Default().Record(
-      obs::FlightEventKind::kFailover, feed_name_,
-      "storage partition " + std::to_string(p) + ": node-" + std::to_string(old_node) +
-          " -> node-" + std::to_string(target_node),
-      static_cast<int>(p));
+  // blocked computing-job pushes fail fast with kUnavailable. Frames queued
+  // there are dropped — their leases stay unacked, so redelivery
+  // reconstructs the records.
+  stranded->Abort(Status::Unavailable("storage partition " + std::to_string(p) +
+                                      " relocating to node-" +
+                                      std::to_string(target_node)));
   return LaunchDrain(p, target_node, std::move(fresh));
 }
 
 void StorageJob::Close() {
-  std::shared_lock<std::shared_mutex> lock(slots_mu_);
-  for (auto& s : slots_) s.holder->Close();
+  for (auto& h : holders_) h->Close();
 }
 
 void StorageJob::Abort(Status cause) {
-  std::shared_lock<std::shared_mutex> lock(slots_mu_);
-  for (auto& s : slots_) s.holder->Abort(cause);
+  for (auto& h : holders_) h->Abort(cause);
 }
 
 void StorageJob::Join() {

@@ -1,23 +1,25 @@
 // Storage job: the long-running tail of the new ingestion framework
-// (Figure 23, bottom). Each node's *active* storage partition holder
-// receives enriched frames from the collocated computing job (compute
+// (Figure 23, bottom). Each partition's *active* storage partition holder
+// receives enriched frames from the collocated computing task (compute
 // partition p ships to storage holder p), and its drain writes them to the
 // one shared LSM dataset, one UpsertBatch per frame, group-committing the
 // WAL per frame. Drain loops run as long-lived tasks on their node's
 // persistent scheduler.
 //
-// HA additions: partitions are placed over the live nodes and can be
-// relocated to a surviving node when theirs dies (RelocatePartition — the
-// old holder is poisoned, a fresh holder plus drain task start on the
-// target). Frames carry (origin_partition, lease_id); after a frame's WAL
-// group-commit the ack hook reports it durable so the intake ledger can
-// retire the lease.
+// HA additions: when a partition's node dies, its drain restarts on a
+// surviving node (RelocatePartition — the old holder is poisoned, a fresh
+// holder plus drain task start on the target). Frames carry
+// (origin_partition, lease_id); after a frame's WAL group-commit the ack hook
+// reports it durable so the intake ledger can retire the lease.
+//
+// After Start, only the feed's invocation loop calls holder(),
+// RelocatePartition(), Close() and Abort(), so the holder table needs no
+// lock; each drain task holds its own holder.
 #pragma once
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <shared_mutex>
 #include <vector>
 
 #include "cluster/cluster_controller.h"
@@ -72,7 +74,6 @@ class StorageJob {
 
   void Join();
 
-  uint64_t records_stored() const { return stored_.load(std::memory_order_relaxed); }
   /// Records dropped by the `skip` policy after write retries were exhausted.
   uint64_t records_skipped() const { return skipped_.load(std::memory_order_relaxed); }
   /// Records parked in the DLQ after write retries were exhausted.
@@ -83,16 +84,10 @@ class StorageJob {
   Status first_error() const { return error_.Get(); }
 
   std::shared_ptr<runtime::StoragePartitionHolder> holder(size_t partition) const {
-    std::shared_lock<std::shared_mutex> lock(slots_mu_);
-    return slots_[partition].holder;
+    return holders_[partition];
   }
 
  private:
-  struct Slot {
-    std::shared_ptr<runtime::StoragePartitionHolder> holder;
-    size_t node = 0;
-  };
-
   /// Starts the drain loop for `holder` (partition `p`) on `node`'s
   /// scheduler. The loop is bound to this holder instance: relocation aborts
   /// the old holder (its loop exits) and launches a new loop here.
@@ -105,11 +100,8 @@ class StorageJob {
   FeedConfig config_;
   DeadLetterQueue* dlq_;
   FrameAckFn ack_fn_;
-  /// Guards slots_ swaps (relocation); drain/holder reads take shared locks.
-  mutable std::shared_mutex slots_mu_;
-  std::vector<Slot> slots_;
+  std::vector<std::shared_ptr<runtime::StoragePartitionHolder>> holders_;
   runtime::TaskGroup drain_tasks_;
-  std::atomic<uint64_t> stored_{0};
   std::atomic<uint64_t> skipped_{0};
   std::atomic<uint64_t> dead_letters_{0};
   std::atomic<uint64_t> retries_{0};

@@ -287,10 +287,6 @@ Result<adm::Array> Instance::ExecuteStatement(sqlpp::Statement stmt) {
       if (!get("post-mortem-dir").empty()) {
         decl.config.post_mortem_dir = get("post-mortem-dir");
       }
-      if (!get("routing").empty()) {
-        IDEA_ASSIGN_OR_RETURN(decl.config.routing,
-                              feed::ParseRoutingPolicy(get("routing")));
-      }
       IDEA_RETURN_NOT_OK(ReadFeedCount<size_t>(cf.config, "routing-slack", 0,
                                                &decl.config.routing_slack));
       std::string ha = ToLowerAscii(get("ha-failover"));

@@ -39,13 +39,12 @@ void HolderMetrics::Init(const PartitionHolderId& id, obs::MetricsRegistry* regi
   // Registry series are cumulative per name; remember where this holder
   // instance starts so stats() reports only its own traffic. The depth gauge
   // is NOT zeroed here: it is delta-maintained, and an absolute write would
-  // stomp a live same-named instance (relocation overlap, abort/drain race).
+  // stomp a live same-named instance (storage relocation overlap,
+  // abort/drain race).
   base.records_in = records_in->value();
   base.records_out = records_out->value();
   base.pushes = pushes->value();
   base.pulls = pulls->value();
-  base.blocked_pushes = blocked_pushes->value();
-  base.blocked_pulls = blocked_pulls->value();
 }
 
 HolderStats HolderMetrics::View() const {
@@ -54,12 +53,9 @@ HolderStats HolderMetrics::View() const {
   s.records_out = records_out->value() - base.records_out;
   s.pushes = pushes->value() - base.pushes;
   s.pulls = pulls->value() - base.pulls;
-  s.blocked_pushes = blocked_pushes->value() - base.blocked_pushes;
-  s.blocked_pulls = blocked_pulls->value() - base.blocked_pulls;
   // Exact by construction (deltas net out); holders overwrite with their own
   // deque size anyway so a shared series never bleeds between instances.
   s.queue_depth = static_cast<uint64_t>(std::max<int64_t>(0, queue_depth->value()));
-  s.queue_depth_high_watermark = static_cast<uint64_t>(queue_depth->high_watermark());
   return s;
 }
 
@@ -129,25 +125,18 @@ bool IntakePartitionHolder::PullBatch(size_t max_records, std::vector<std::strin
     out->push_back(std::move(records_.front()));
     records_.pop_front();
   }
-  if (lease_counter_ != nullptr && lease_out != nullptr && n > 0) {
+  if (lease_out != nullptr && n > 0) {
     // Retain a copy under a fresh lease until storage acks every frame the
-    // batch ships; the feed-global counter keeps ids unique across holder
-    // relocations.
-    const uint64_t lease = lease_counter_->fetch_add(1, std::memory_order_relaxed) + 1;
-    *lease_out = lease;
-    LeaseEntry& entry = inflight_[lease];
-    entry.records.assign(out->end() - static_cast<ptrdiff_t>(n), out->end());
+    // batch ships.
+    *lease_out = ++last_lease_;
+    inflight_[last_lease_].records.assign(out->end() - static_cast<ptrdiff_t>(n),
+                                          out->end());
   }
   metrics_.records_out->Add(n);
   metrics_.pulls->Increment();
   SetDepthLocked(records_.size());
   can_push_.notify_all();
   return true;
-}
-
-void IntakePartitionHolder::EnableLeasing(std::atomic<uint64_t>* lease_counter) {
-  std::lock_guard<std::mutex> lock(mu_);
-  lease_counter_ = lease_counter;
 }
 
 void IntakePartitionHolder::CloseLease(uint64_t lease, size_t frames_shipped) {
@@ -196,44 +185,6 @@ size_t IntakePartitionHolder::RedeliverUnacked() {
   return redelivered;
 }
 
-IntakePartitionHolder::ExtractedState IntakePartitionHolder::ExtractForRelocation(
-    Status cause) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ExtractedState state;
-  for (auto& [lease, entry] : inflight_) {
-    for (std::string& r : entry.records) state.records.push_back(std::move(r));
-  }
-  inflight_.clear();
-  for (std::string& r : records_) state.records.push_back(std::move(r));
-  records_.clear();
-  state.eof = eof_;
-  state.push_deadline_us = push_deadline_us_.load();
-  SetDepthLocked(0);
-  if (abort_cause_.ok()) {
-    abort_cause_ =
-        cause.ok() ? Status::Unavailable("intake holder relocated") : std::move(cause);
-    obs::FlightRecorder::Default().Record(
-        obs::FlightEventKind::kHolderAbort, id_.feed,
-        id_.ToString() + ": relocated: " + abort_cause_.ToString(),
-        static_cast<int>(id_.partition));
-  }
-  eof_ = true;  // stranded pulls return false; stranded pushes fail with cause
-  can_pull_.notify_all();
-  can_push_.notify_all();
-  return state;
-}
-
-void IntakePartitionHolder::PreloadForRelocation(ExtractedState state) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (std::string& r : state.records) records_.push_back(std::move(r));
-  // Depth only: the records were already counted as records_in/pushes when
-  // first pushed, and the registry series are cumulative.
-  SetDepthLocked(records_.size());
-  eof_ = state.eof;
-  push_deadline_us_.store(state.push_deadline_us);
-  can_pull_.notify_all();
-}
-
 void IntakePartitionHolder::Abort(Status cause) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!abort_cause_.ok()) return;  // first abort wins
@@ -245,11 +196,6 @@ void IntakePartitionHolder::Abort(Status cause) {
   eof_ = true;  // pending pulls finish with what is queued, then stop
   can_pull_.notify_all();
   can_push_.notify_all();
-}
-
-Status IntakePartitionHolder::first_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return abort_cause_;
 }
 
 bool IntakePartitionHolder::ExhaustedForTest() const {
@@ -353,11 +299,6 @@ void StoragePartitionHolder::Abort(Status cause) {
   SetDepthLocked(0);
   can_pop_.notify_all();
   can_push_.notify_all();
-}
-
-Status StoragePartitionHolder::first_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return abort_cause_;
 }
 
 HolderStats StoragePartitionHolder::stats() const {

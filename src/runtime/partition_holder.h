@@ -18,9 +18,9 @@
 // acks each frame after its WAL group-commit. If the computing or storage
 // node dies in between, RedeliverUnacked() re-queues the leased records at
 // the front of the queue — duplicates are harmless because storage upserts
-// are PK-idempotent. ExtractForRelocation()/PreloadForRelocation() move a
-// partition's full state (queue + ledger + EOF flag) to a holder on a
-// surviving node.
+// are PK-idempotent. A holder is process memory, so an intake holder lives
+// as long as its feed and never moves: failover re-points where a
+// partition's tasks run, not where its records wait.
 #pragma once
 
 #include <atomic>
@@ -62,18 +62,15 @@ struct HolderStats {
   uint64_t records_out = 0;
   uint64_t pulls = 0;
   uint64_t pushes = 0;
-  uint64_t queue_depth = 0;                 // records (intake) / frames (storage)
-  uint64_t queue_depth_high_watermark = 0;  // registry-lifetime high watermark
-  uint64_t blocked_pushes = 0;  // pushes that waited on a full queue (back-pressure)
-  uint64_t blocked_pulls = 0;   // pulls/pops that waited on an empty/partial queue
+  uint64_t queue_depth = 0;  // records (intake) / frames (storage)
 };
 
 /// The registry metrics one holder records into, plus the construction-time
 /// baseline that makes HolderStats a per-instance view.
 ///
 /// The queue_depth gauge is maintained with exact +/- deltas (never Set), so
-/// two live holder instances sharing a metric name — a relocation overlap,
-/// or an abort/drain race — see the gauge as the *sum* of their depths
+/// two live holder instances sharing a metric name — a storage relocation
+/// overlap, or an abort/drain race — see the gauge as the *sum* of their depths
 /// instead of stomping each other with absolute writes. Holders report their
 /// own exact deque size in stats(); the shared gauge feeds dashboards and
 /// high-watermark series.
@@ -119,8 +116,6 @@ class IntakePartitionHolder {
   /// Poisons the holder: waiting/future pushes fail with `cause`, waiting
   /// pulls drain what is queued and then stop. First abort wins; idempotent.
   void Abort(Status cause);
-  /// OK, or the first Abort() cause.
-  Status first_error() const;
 
   /// Bounds how long Push may block on a full queue (0 = forever).
   void set_push_deadline_us(uint64_t micros) { push_deadline_us_ = micros; }
@@ -129,15 +124,13 @@ class IntakePartitionHolder {
   /// Returns false when the holder is exhausted (EOF seen and drained) or
   /// aborted and drained.
   ///
-  /// When leasing is enabled and `lease_out` is non-null, the pulled records
-  /// are additionally retained in the redelivery ledger under `*lease_out`
-  /// until the lease is closed and every shipped frame acked.
+  /// When `lease_out` is non-null, the pulled records are additionally
+  /// retained in the redelivery ledger under a fresh lease id `*lease_out`
+  /// (this holder's own sequence, starting at 1) until the lease is closed
+  /// and every shipped frame acked.
   bool PullBatch(size_t max_records, std::vector<std::string>* out,
                  uint64_t* lease_out = nullptr);
 
-  /// Arms at-least-once redelivery. `lease_counter` is feed-global so lease
-  /// ids stay unique across partition relocations.
-  void EnableLeasing(std::atomic<uint64_t>* lease_counter);
   /// Declares how many frames the leased batch produced (0 acks the lease
   /// immediately: nothing shipped means nothing to redeliver).
   void CloseLease(uint64_t lease, size_t frames_shipped);
@@ -149,19 +142,6 @@ class IntakePartitionHolder {
   /// order, so redelivery preserves original intake order) and clears the
   /// ledger. Returns the number of records re-queued.
   size_t RedeliverUnacked();
-
-  /// Moved-out state of a holder being relocated off a dead node.
-  struct ExtractedState {
-    std::vector<std::string> records;  ///< unacked leases (in order) + queue
-    bool eof = false;
-    uint64_t push_deadline_us = 0;
-  };
-  /// Atomically drains queue + ledger for relocation and poisons this holder
-  /// with `cause` so stranded producers/consumers detach.
-  ExtractedState ExtractForRelocation(Status cause);
-  /// Seeds a replacement holder with relocated state. Call before exposing
-  /// the holder to producers/consumers.
-  void PreloadForRelocation(ExtractedState state);
 
   /// Lock-free queue-depth hint for congestion-aware routing.
   size_t approx_depth() const { return approx_depth_.load(std::memory_order_relaxed); }
@@ -192,8 +172,8 @@ class IntakePartitionHolder {
   Status abort_cause_;  // OK until Abort()
   std::atomic<uint64_t> push_deadline_us_{0};
   std::atomic<size_t> approx_depth_{0};
-  std::atomic<uint64_t>* lease_counter_ = nullptr;  // non-null => leasing on
-  std::map<uint64_t, LeaseEntry> inflight_;         // lease id -> ledger entry
+  uint64_t last_lease_ = 0;                  // lease ids issued so far
+  std::map<uint64_t, LeaseEntry> inflight_;  // lease id -> ledger entry
 };
 
 /// Active holder: computing jobs push enriched frames; the storage job's
@@ -221,8 +201,6 @@ class StoragePartitionHolder {
   /// queue is discarded (a dead storage job must not wedge producers).
   /// First abort wins; idempotent.
   void Abort(Status cause);
-  /// OK, or the first Abort() cause.
-  Status first_error() const;
 
   /// Bounds how long Push may block on a full queue (0 = forever).
   void set_push_deadline_us(uint64_t micros) { push_deadline_us_ = micros; }
