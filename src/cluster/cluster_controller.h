@@ -9,9 +9,11 @@
 // measured CPU into N-node time with cluster/cost_model.h.
 //
 // The roster is fixed when the cluster is built: `ClusterConfig::nodes`
-// NodeControllers, never added or removed afterwards. Only their liveness
-// changes (alive, suspect, dead; cluster/membership.h), and a dead node
-// keeps its index.
+// NodeControllers, never added or removed afterwards. A node is alive until
+// it is declared dead, by FailNode or by the `node.kill` fault point in
+// CheckAlive; dead is terminal, and a dead node keeps its index. Nothing
+// else changes a node's liveness: there is no heartbeat, since every node
+// lives in this process.
 //
 // Execution substrate: every NodeController owns a persistent
 // runtime::TaskScheduler, and the CC owns one more ("cc") for coordination
@@ -21,10 +23,11 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
-#include "cluster/membership.h"
 #include "cluster/node_controller.h"
+#include "common/status.h"
 #include "runtime/task_scheduler.h"
 
 namespace idea::cluster {
@@ -35,8 +38,6 @@ struct ClusterConfig {
   size_t nodes = 3;
   /// Not read by any code (see the header comment); callers still set it.
   ExecutionMode mode = ExecutionMode::kVirtualTime;
-  /// Heartbeat cadence / miss thresholds for the health monitor.
-  HealthMonitorOptions health;
 };
 
 class Cluster {
@@ -47,13 +48,10 @@ class Cluster {
   size_t node_count() const { return nodes_.size(); }
   NodeController& node(size_t i) { return *nodes_[i]; }
 
-  /// Epoch-stamped liveness roster consulted by routers / the AFM.
-  MembershipTable& membership() { return membership_; }
-  /// Heartbeat-driven health monitor (virtual-clock; advanced via PumpHealth).
-  HealthMonitor& health() { return *health_; }
-
-  /// Declares a node dead (terminal), triggering feed failover on the next
-  /// liveness check.
+  /// Declares a node dead (terminal); feeds on it fail over on their next
+  /// liveness check. Idempotent; NotFound for an index past the roster. The
+  /// first call records a kNodeDead flight event and updates the
+  /// idea.cluster.nodes_{alive,dead} gauges.
   Status FailNode(size_t node);
 
   /// Liveness probe used by per-partition tasks: returns kUnavailable when
@@ -62,11 +60,8 @@ class Cluster {
   /// dead so every later probe agrees.
   Status CheckAlive(size_t node);
 
-  /// One health-plane round: every non-dead node emits a heartbeat (dropped
-  /// when `cluster.heartbeat` fires), then the monitor clock advances by
-  /// `advance_us` and silence thresholds are re-evaluated. Returns nodes
-  /// newly declared dead this round.
-  std::vector<size_t> PumpHealth(uint64_t advance_us);
+  /// Indices of the nodes not declared dead, ascending.
+  std::vector<size_t> LiveNodes() const;
 
   const ClusterConfig& config() const { return config_; }
 
@@ -78,8 +73,9 @@ class Cluster {
   ClusterConfig config_;
   /// Filled by the constructor and never resized, so reads need no lock.
   std::vector<std::unique_ptr<NodeController>> nodes_;
-  MembershipTable membership_;
-  std::unique_ptr<HealthMonitor> health_;
+  /// Serializes FailNode's flag flip with its gauge update.
+  std::mutex fail_mu_;
+  size_t dead_count_ = 0;  ///< Guarded by fail_mu_.
   std::unique_ptr<runtime::TaskScheduler> cc_scheduler_;
 };
 

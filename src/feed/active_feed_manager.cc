@@ -56,18 +56,17 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
     dlqs_[name] = feed->dlq;
   }
   // One partition per node. Non-HA feeds keep the fixed identity binding
-  // (partition p on node p); HA feeds plan over the currently routable
-  // members (round-robin).
+  // (partition p on node p); HA feeds plan over the live nodes
+  // (round-robin).
   std::vector<size_t> placement(cluster_->node_count());
   for (size_t p = 0; p < placement.size(); ++p) placement[p] = p;
   if (feed->config.ha_failover) {
-    std::vector<size_t> routable = cluster_->membership().RoutableNodes();
-    if (routable.empty()) routable = cluster_->membership().AliveNodes();
-    if (routable.empty()) {
+    const std::vector<size_t> live = cluster_->LiveNodes();
+    if (live.empty()) {
       return Status::Unavailable("feed '" + name + "': no live node to start on");
     }
     for (size_t p = 0; p < placement.size(); ++p) {
-      placement[p] = routable[p % routable.size()];
+      placement[p] = live[p % live.size()];
     }
   }
   feed->intake = std::make_unique<IntakeJob>(name, cluster_);
@@ -135,23 +134,7 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
 
   // Invocations run one after another, so each sees the UDF state refreshed
   // after the previous batch was enriched.
-  const bool ha = feed->config.ha_failover;
   while (true) {
-    if (ha) {
-      // Advance the health plane one heartbeat interval per invocation:
-      // beats from every live node (the cluster.heartbeat fault site drops
-      // some), then the monitor's virtual clock. Nodes newly declared dead
-      // fail over eagerly, before their partitions' next pull wedges.
-      std::vector<size_t> newly_dead =
-          cluster_->PumpHealth(cluster_->health().options().heartbeat_interval_us);
-      if (!newly_dead.empty()) {
-        Status recovered = RecoverFeed(feed);
-        if (!recovered.ok()) {
-          if (feed->final_status.Set(recovered)) feed->intake->StopAdapters();
-          break;
-        }
-      }
-    }
     // Routes change only in RecoverFeed, which runs on this loop between
     // invocations, so the invocation reads them in place.
     inflight->Add(1);
@@ -159,8 +142,8 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
     inflight->Add(-1);
     if (!inv.ok()) {
       Status st = inv.status();
-      if (ha && st.code() == StatusCode::kUnavailable) {
-        // A hosting node died mid-invocation: re-plan, redeliver, resume.
+      if (feed->config.ha_failover && st.code() == StatusCode::kUnavailable) {
+        // A hosting node is dead: re-plan, redeliver, resume.
         Status recovered = RecoverFeed(feed);
         if (recovered.ok()) continue;
         st = recovered;
@@ -214,15 +197,17 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
   feed->final_status.Set(feed->storage->first_error());
   feed->final_status.Set(feed->intake->first_error());
   {
-    // Storage-side policy outcomes are visible only to the storage job; fold
-    // them into the feed summary with the computing-side counters. Records
-    // the storage job rejected were counted ingested when the computing job
-    // shipped them — take them back out so records_ingested means "stored".
+    // Intake- and storage-side policy outcomes are visible only to their
+    // jobs; fold them into the feed summary with the computing-side
+    // counters. Records the storage job rejected were counted ingested when
+    // the computing job shipped them — take them back out so
+    // records_ingested means "stored".
     const uint64_t storage_rejects =
         feed->storage->records_skipped() + feed->storage->dead_letters();
     std::lock_guard<std::mutex> lock(mu_);
-    feed->stats.records_skipped += feed->storage->records_skipped();
-    feed->stats.dead_letters += feed->storage->dead_letters();
+    feed->stats.records_skipped +=
+        feed->intake->records_skipped() + feed->storage->records_skipped();
+    feed->stats.dead_letters += feed->intake->dead_letters() + feed->storage->dead_letters();
     feed->stats.retries += feed->storage->retries();
     feed->stats.records_ingested -=
         std::min(feed->stats.records_ingested, storage_rejects);
@@ -246,12 +231,13 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
 Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
   WallTimer timer;
   timer.Start();
-  cluster::MembershipTable& membership = cluster_->membership();
   std::vector<ComputingJob::Route>& routes = feed->routes;
-  // Partitions stranded on dead nodes under the current plan.
+  auto dead = [this](size_t node) { return cluster_->node(node).dead(); };
+  // Partitions stranded on dead nodes under the current plan. Reading the
+  // flag, not CheckAlive, spends no node.kill probe hit.
   std::vector<size_t> victims;
   for (size_t p = 0; p < routes.size(); ++p) {
-    if (membership.IsDead(routes[p].node)) victims.push_back(p);
+    if (dead(routes[p].node)) victims.push_back(p);
   }
   if (victims.empty()) return Status::OK();
   if (feed->failovers_done >= feed->config.max_failovers) {
@@ -260,10 +246,9 @@ Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
                                "-failover budget");
   }
   ++feed->failovers_done;
-  // Candidate targets: routable nodes, else merely alive ones. Every node
-  // holds a compiled artifact of this feed's computing job.
-  std::vector<size_t> targets = membership.RoutableNodes();
-  if (targets.empty()) targets = membership.AliveNodes();
+  // Candidate targets: the live nodes. Every node holds a compiled artifact
+  // of this feed's computing job.
+  const std::vector<size_t> targets = cluster_->LiveNodes();
   if (targets.empty()) {
     return Status::Unavailable("feed '" + feed->config.name +
                                "': no live node left to fail over to");
@@ -273,7 +258,7 @@ Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
   // deterministic for a given roster).
   std::vector<size_t> load(cluster_->node_count(), 0);
   for (const ComputingJob::Route& route : routes) {
-    if (!membership.IsDead(route.node)) load[route.node]++;
+    if (!dead(route.node)) load[route.node]++;
   }
   // The intake holders stay put: a partition's records keep waiting where
   // they are, and only the node that runs its tasks changes. Its storage

@@ -59,7 +59,8 @@ Result<std::unique_ptr<ComputingJob>> ComputingJob::Deploy(const FeedConfig& con
                               feed_name + "'");
     }
   }
-  // Resolve the UDF once; per-node artifacts fork from it.
+  // Resolve the UDF once; each node's artifact compiles its own plan or
+  // instance from it.
   std::shared_ptr<const sqlpp::SqlppFunctionDef> sqlpp_def;
   bool is_native = false;
   if (!udf.empty()) {

@@ -7,8 +7,8 @@
 // paper §4.3.3).
 //
 // The Active Feed Manager owns one ComputingJob per running feed. Deploy
-// compiles one artifact per node (parser + forked enrichment plan or native
-// UDF instance) at START FEED: the parameterized predeployed job of §5.1.
+// compiles one artifact per node (parser + enrichment plan compiled for that
+// node, or native UDF instance) at START FEED: the parameterized predeployed job of §5.1.
 // The cluster's roster is fixed, so every node a partition can be placed on
 // or failed over to holds an artifact. Each invocation then only hands every
 // partition its hosting node and its intake and storage holders (Route);

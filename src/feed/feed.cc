@@ -20,15 +20,6 @@ Result<OnError> ParseOnError(const std::string& name) {
       "unknown on-error policy '" + name + "' (want abort | skip | dead-letter)");
 }
 
-const char* OnErrorName(OnError policy) {
-  switch (policy) {
-    case OnError::kAbort: return "abort";
-    case OnError::kSkip: return "skip";
-    case OnError::kDeadLetter: return "dead-letter";
-  }
-  return "abort";
-}
-
 Result<AdapterFactory> MakeAdapterFactory(
     const std::map<std::string, std::string>& config) {
   auto get = [&](const std::string& key) -> std::string {

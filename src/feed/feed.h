@@ -23,7 +23,6 @@ enum class OnError : uint8_t {
 
 /// "abort" | "skip" | "dead-letter" (case-insensitive; '_' == '-').
 Result<OnError> ParseOnError(const std::string& name);
-const char* OnErrorName(OnError policy);
 
 /// Static description of a feed (CREATE FEED ... WITH {...}).
 struct FeedConfig {
@@ -57,7 +56,7 @@ struct FeedConfig {
   /// a record off its round-robin partition to the shallowest one. While
   /// depths stay within it, routing is exact round-robin.
   size_t routing_slack = 64;
-  /// Survive node death: plan partitions over the live membership roster,
+  /// Survive node death: plan partitions over the nodes not declared dead,
   /// lease pulled batches for at-least-once redelivery, and move the tasks
   /// of a node that dies mid-feed onto survivors (WAL + PK idempotence keep
   /// the stored contents bit-identical). Off by default: non-HA feeds keep

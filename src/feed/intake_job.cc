@@ -57,11 +57,15 @@ Status IntakeJob::Start(const AdapterFactory& factory, const FeedConfig& config,
             Status read = IDEA_FAULT_HIT_KEYED("intake.read", raw);
             if (!read.ok()) {
               read_errors->Increment();
-              if (on_error == OnError::kDeadLetter && dlq != nullptr) {
-                dlq->Add(DeadLetter{std::move(raw), "intake", read, 0});
-              } else if (on_error == OnError::kAbort) {
+              if (on_error == OnError::kAbort) {
                 error_.Set(read);
                 break;
+              }
+              if (on_error == OnError::kDeadLetter && dlq != nullptr) {
+                dlq->Add(DeadLetter{std::move(raw), "intake", read, 0});
+                dead_letters_.fetch_add(1, std::memory_order_relaxed);
+              } else {
+                skipped_.fetch_add(1, std::memory_order_relaxed);
               }
               raw.clear();
               continue;

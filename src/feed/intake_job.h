@@ -7,15 +7,20 @@
 //
 // Routing is round-robin, plus a divert: a record whose rotation target is
 // more than `routing_slack` records deeper than the shallowest partition goes
-// to that partition instead. The router reads no membership state. Every
-// computing invocation waits for every partition's share of its batch, so a
-// partition the router stopped feeding would stall the feed; a slow node
-// still sheds load, because its queue grows deeper.
+// to that partition instead. The router does not read whether a node is
+// dead. Every computing invocation waits for every partition's share of its
+// batch, so a partition the router stopped feeding would stall the feed; a
+// slow node still sheds load, because its queue grows deeper.
+//
+// A record the adapter hands over but the `intake.read` fault point marks
+// unreadable follows the feed's failure policy: it is skipped, parked in the
+// dead-letter queue (stage "intake"), or aborts the feed. The job counts the
+// first two for the feed's summary.
 //
 // The holders live as long as the feed. For HA feeds (FeedConfig::ha_failover)
-// pulled batches are leased for at-least-once redelivery; when a node dies,
-// the Active Feed Manager re-points the partition's tasks to a survivor and
-// re-queues the unacked leases in place (RedeliverUnackedAll).
+// pulled batches are leased for at-least-once redelivery; when a node is
+// declared dead, the Active Feed Manager re-points the partition's tasks to a
+// live node and re-queues the unacked leases in place (RedeliverUnackedAll).
 #pragma once
 
 #include <atomic>
@@ -61,6 +66,11 @@ class IntakeJob {
   /// abort policy); OK while healthy.
   Status first_error() const { return error_.Get(); }
 
+  /// Unreadable records dropped by the `skip` policy.
+  uint64_t records_skipped() const { return skipped_.load(std::memory_order_relaxed); }
+  /// Unreadable records parked in the DLQ by the `dead-letter` policy.
+  uint64_t dead_letters() const { return dead_letters_.load(std::memory_order_relaxed); }
+
   /// Re-queues every unacked leased batch on every partition (post-failover
   /// at-least-once redelivery). Returns records re-queued.
   size_t RedeliverUnackedAll();
@@ -87,6 +97,8 @@ class IntakeJob {
   std::vector<std::unique_ptr<FeedAdapter>> adapters_;
   runtime::TaskGroup adapter_tasks_;
   std::atomic<size_t> live_adapters_{0};
+  std::atomic<uint64_t> skipped_{0};
+  std::atomic<uint64_t> dead_letters_{0};
   common::FirstError error_;
   size_t routing_slack_ = 64;
   bool joined_ = false;

@@ -8,27 +8,14 @@
 namespace idea::feed {
 
 Result<adm::Value> JsonRecordParser::Parse(const std::string& raw) {
-  auto parsed = adm::ParseJson(raw);
-  if (!parsed.ok()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    return parsed.status();
-  }
-  adm::Value record = std::move(parsed).value();
-  if (datatype_ != nullptr) {
-    Status st = datatype_->ValidateAndCoerce(&record);
-    if (!st.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      return st;
-    }
-  }
-  parsed_.fetch_add(1, std::memory_order_relaxed);
+  IDEA_ASSIGN_OR_RETURN(adm::Value record, adm::ParseJson(raw));
+  if (datatype_ != nullptr) IDEA_RETURN_NOT_OK(datatype_->ValidateAndCoerce(&record));
   return record;
 }
 
 Result<adm::Value> DelimitedRecordParser::Parse(const std::string& raw) {
   std::vector<std::string> pieces = SplitString(raw, delimiter_);
   if (pieces.size() != fields_.size()) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
     return Status::ParseError("expected " + std::to_string(fields_.size()) +
                               " fields, got " + std::to_string(pieces.size()));
   }
@@ -54,14 +41,7 @@ Result<adm::Value> DelimitedRecordParser::Parse(const std::string& raw) {
     out.emplace_back(fields_[i], adm::Value::MakeString(s));
   }
   adm::Value record = adm::Value::MakeObject(std::move(out));
-  if (datatype_ != nullptr) {
-    Status st = datatype_->ValidateAndCoerce(&record);
-    if (!st.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      return st;
-    }
-  }
-  parsed_.fetch_add(1, std::memory_order_relaxed);
+  if (datatype_ != nullptr) IDEA_RETURN_NOT_OK(datatype_->ValidateAndCoerce(&record));
   return record;
 }
 

@@ -2,7 +2,6 @@
 // "a parser, which translates the ingested bytes into ADM records").
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,13 +16,6 @@ class RecordParser {
  public:
   virtual ~RecordParser() = default;
   virtual Result<adm::Value> Parse(const std::string& raw) = 0;
-  virtual std::unique_ptr<RecordParser> Fork() const = 0;
-  uint64_t parsed_count() const { return parsed_.load(std::memory_order_relaxed); }
-  uint64_t error_count() const { return errors_.load(std::memory_order_relaxed); }
-
- protected:
-  std::atomic<uint64_t> parsed_{0};
-  std::atomic<uint64_t> errors_{0};
 };
 
 /// JSON parser with optional datatype validation/coercion.
@@ -33,9 +25,6 @@ class JsonRecordParser : public RecordParser {
   explicit JsonRecordParser(const adm::Datatype* datatype = nullptr)
       : datatype_(datatype) {}
   Result<adm::Value> Parse(const std::string& raw) override;
-  std::unique_ptr<RecordParser> Fork() const override {
-    return std::make_unique<JsonRecordParser>(datatype_);
-  }
 
  private:
   const adm::Datatype* datatype_;
@@ -49,9 +38,6 @@ class DelimitedRecordParser : public RecordParser {
                         const adm::Datatype* datatype = nullptr)
       : fields_(std::move(field_names)), delimiter_(delimiter), datatype_(datatype) {}
   Result<adm::Value> Parse(const std::string& raw) override;
-  std::unique_ptr<RecordParser> Fork() const override {
-    return std::make_unique<DelimitedRecordParser>(fields_, delimiter_, datatype_);
-  }
 
  private:
   std::vector<std::string> fields_;

@@ -101,10 +101,4 @@ bool UdfRegistry::IsNativeStateful(const std::string& qualified) const {
   return it != native_.end() && it->second.stateful;
 }
 
-Result<sqlpp::FunctionAnalysis> UdfRegistry::AnalyzeSqlpp(const std::string& name) const {
-  std::shared_ptr<const sqlpp::SqlppFunctionDef> def = FindSqlppShared(name);
-  if (def == nullptr) return Status::NotFound("unknown function '" + name + "'");
-  return sqlpp::AnalyzeFunctionBody(*def->body, def->params);
-}
-
 }  // namespace idea::feed

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "sqlpp/analyzer.h"
 #include "sqlpp/evaluator.h"
 
 namespace idea::feed {
@@ -59,8 +58,6 @@ class UdfRegistry : public sqlpp::FunctionResolver {
 
   bool HasNative(const std::string& qualified) const;
   bool IsNativeStateful(const std::string& qualified) const;
-  /// Statefulness analysis for a SQL++ function; error when unknown.
-  Result<sqlpp::FunctionAnalysis> AnalyzeSqlpp(const std::string& name) const;
 
  private:
   struct NativeSlot {

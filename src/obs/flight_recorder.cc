@@ -29,8 +29,6 @@ const char* FlightEventKindName(FlightEventKind kind) {
       return "fault_fire";
     case FlightEventKind::kHolderAbort:
       return "holder_abort";
-    case FlightEventKind::kNodeSuspect:
-      return "node_suspect";
     case FlightEventKind::kNodeDead:
       return "node_dead";
     case FlightEventKind::kFailover:

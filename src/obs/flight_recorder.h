@@ -24,7 +24,6 @@ enum class FlightEventKind : uint8_t {
   kWalRecovery,
   kFaultFire,
   kHolderAbort,
-  kNodeSuspect,
   kNodeDead,
   kFailover,
 };

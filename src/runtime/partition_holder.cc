@@ -43,16 +43,12 @@ void HolderMetrics::Init(const PartitionHolderId& id, obs::MetricsRegistry* regi
   // abort/drain race).
   base.records_in = records_in->value();
   base.records_out = records_out->value();
-  base.pushes = pushes->value();
-  base.pulls = pulls->value();
 }
 
 HolderStats HolderMetrics::View() const {
   HolderStats s;
   s.records_in = records_in->value() - base.records_in;
   s.records_out = records_out->value() - base.records_out;
-  s.pushes = pushes->value() - base.pushes;
-  s.pulls = pulls->value() - base.pulls;
   // Exact by construction (deltas net out); holders overwrite with their own
   // deque size anyway so a shared series never bleeds between instances.
   s.queue_depth = static_cast<uint64_t>(std::max<int64_t>(0, queue_depth->value()));

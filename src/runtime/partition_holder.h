@@ -60,8 +60,6 @@ struct PartitionHolderId {
 struct HolderStats {
   uint64_t records_in = 0;
   uint64_t records_out = 0;
-  uint64_t pulls = 0;
-  uint64_t pushes = 0;
   uint64_t queue_depth = 0;  // records (intake) / frames (storage)
 };
 

@@ -620,10 +620,7 @@ Result<std::unique_ptr<EnrichmentPlan>> EnrichmentPlan::Compile(
   owned->name = def->name;
   owned->params = def->params;
   owned->body = std::shared_ptr<const SelectStatement>(def->body->Clone());
-  plan->source_def_ = std::move(def);
   plan->def_ = std::move(owned);
-  plan->datasets_ = datasets;
-  plan->functions_ = functions;
   plan->config_ = config;
   plan->analysis_ = AnalyzeFunctionBody(*plan->def_->body, plan->def_->params);
 
@@ -653,8 +650,8 @@ Result<std::unique_ptr<EnrichmentPlan>> EnrichmentPlan::Compile(
   ctx.datasets = datasets;
   ctx.functions = functions;
   ctx.access_paths = &plan->path_map_;
-  // Per-UDF metric scope: every plan (and fork) of the same function shares
-  // the idea.eval.<udf>.* series.
+  // Per-UDF metric scope: every plan of the same function (one per node)
+  // shares the idea.eval.<udf>.* series.
   obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.eval." + plan->def_->name);
   ctx.metrics.tuples_scanned = scope.Counter("tuples_scanned");
   ctx.metrics.index_probes = scope.Counter("index_probes");
@@ -752,11 +749,6 @@ Status EnrichmentPlan::EnrichBatch(const std::vector<adm::Value>& batch,
     out->push_back(std::move(v));
   }
   return Status::OK();
-}
-
-std::unique_ptr<EnrichmentPlan> EnrichmentPlan::Fork() const {
-  auto r = Compile(source_def_, datasets_, functions_, config_);
-  return r.ok() ? std::move(r).value() : nullptr;
 }
 
 std::string EnrichmentPlan::Explain() const {

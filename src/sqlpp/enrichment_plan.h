@@ -130,9 +130,6 @@ class EnrichmentPlan {
   /// the first failing record.
   Status EnrichBatch(const std::vector<adm::Value>& batch, adm::Array* out);
 
-  /// Independent instance over the same compiled form (per-partition use).
-  std::unique_ptr<EnrichmentPlan> Fork() const;
-
   const PlanStats& stats() const { return stats_; }
   const FunctionAnalysis& analysis() const { return analysis_; }
   const std::vector<AccessPathChoice>& choices() const { return choices_; }
@@ -144,10 +141,7 @@ class EnrichmentPlan {
  private:
   EnrichmentPlan() = default;
 
-  std::shared_ptr<const SqlppFunctionDef> source_def_;  // as registered
-  std::shared_ptr<const SqlppFunctionDef> def_;         // plan-owned, reordered
-  DatasetAccessor* datasets_ = nullptr;
-  const FunctionResolver* functions_ = nullptr;
+  std::shared_ptr<const SqlppFunctionDef> def_;  // plan-owned, reordered
   PlanConfig config_;
   FunctionAnalysis analysis_;
   std::vector<AccessPathChoice> choices_;
@@ -157,10 +151,10 @@ class EnrichmentPlan {
   AccessPathMap path_map_;
   std::unique_ptr<Evaluator> evaluator_;
   PlanStats stats_;
-  // idea.eval.<udf>.* registry mirrors (shared across forks of the plan).
+  // idea.eval.<udf>.* registry mirrors (shared by every plan of the UDF).
   obs::Histogram* init_us_ = nullptr;
   obs::Counter* records_metric_ = nullptr;
-  // idea.plan.<udf>.* refresh-path observability (shared across forks).
+  // idea.plan.<udf>.* refresh-path observability (shared likewise).
   obs::Counter* noop_refreshes_metric_ = nullptr;
   obs::Counter* delta_refreshes_metric_ = nullptr;
   obs::Counter* full_rebuilds_metric_ = nullptr;

@@ -1,9 +1,9 @@
-// Cluster liveness and feed failover: the fixed, epoch-stamped roster,
-// heartbeat-driven suspect/dead transitions, the intake lease ledger's
-// at-least-once redelivery, the intake router's divert past the slack, feeds
-// over a paced source that must keep storing with a suspect or dead node, and
-// the end-to-end chaos soak — kill a node mid-feed at a randomized point and
-// prove the stored contents are bit-identical to a clean run.
+// Cluster liveness and feed failover: the fixed roster whose nodes stay
+// alive until they are failed, the intake lease ledger's at-least-once
+// redelivery, the intake router's divert past the slack, a failed-over feed
+// over a paced source that must keep storing, and the end-to-end chaos
+// soak — kill a node mid-feed at a randomized point and prove the stored
+// contents are bit-identical to a clean run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,19 +17,17 @@
 #include <vector>
 
 #include "cluster/cluster_controller.h"
-#include "cluster/membership.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "feed/active_feed_manager.h"
 #include "feed/intake_job.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "runtime/partition_holder.h"
 
 namespace idea {
 namespace {
 
-using cluster::HealthMonitorOptions;
-using cluster::MembershipTable;
-using cluster::NodeState;
 using common::FaultInjector;
 using common::FaultSpec;
 
@@ -42,96 +40,7 @@ class ClusterHaTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Membership table
-
-TEST_F(ClusterHaTest, MembershipEpochAdvancesOnEveryRealTransition) {
-  MembershipTable table;
-  EXPECT_EQ(table.epoch(), 0u);
-  EXPECT_EQ(table.AddNode(), 0u);
-  EXPECT_EQ(table.AddNode(), 1u);
-  const uint64_t after_add = table.epoch();
-  EXPECT_EQ(after_add, 2u);
-
-  ASSERT_TRUE(table.SetState(0, NodeState::kSuspect).ok());
-  EXPECT_EQ(table.epoch(), after_add + 1);
-  // No-op transition: same state must not advance the epoch (routers would
-  // needlessly rebuild their bitmaps).
-  ASSERT_TRUE(table.SetState(0, NodeState::kSuspect).ok());
-  EXPECT_EQ(table.epoch(), after_add + 1);
-
-  EXPECT_TRUE(table.IsAlive(0));     // suspect still executes
-  EXPECT_FALSE(table.IsRoutable(0));  // but takes no new traffic
-  EXPECT_TRUE(table.IsRoutable(1));
-
-  ASSERT_TRUE(table.SetState(0, NodeState::kDead).ok());
-  EXPECT_TRUE(table.IsDead(0));
-  // Dead is terminal.
-  EXPECT_FALSE(table.SetState(0, NodeState::kAlive).ok());
-  EXPECT_EQ(table.AliveNodes(), std::vector<size_t>{1});
-  // Out-of-range nodes read as dead, never routable.
-  EXPECT_TRUE(table.IsDead(99));
-}
-
-TEST_F(ClusterHaTest, HealthMonitorEscalatesSilenceToSuspectThenDead) {
-  MembershipTable table;
-  table.AddNode();
-  table.AddNode();
-  HealthMonitorOptions opt;
-  opt.heartbeat_interval_us = 1000;
-  opt.suspect_misses = 2;
-  opt.dead_misses = 4;
-  cluster::HealthMonitor monitor(&table, opt);
-
-  // Node 0 beats every tick; node 1 goes silent.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(monitor.Heartbeat(0, "node-0"));
-    EXPECT_TRUE(monitor.Tick(opt.heartbeat_interval_us).empty());
-  }
-  EXPECT_EQ(table.state(0), NodeState::kAlive);
-  EXPECT_EQ(table.state(1), NodeState::kSuspect);
-
-  // A beat recovers a suspect to alive.
-  EXPECT_TRUE(monitor.Heartbeat(1, "node-1"));
-  EXPECT_EQ(table.state(1), NodeState::kAlive);
-
-  // Sustained silence crosses the death threshold; exactly that node comes
-  // back as newly dead, exactly once.
-  std::vector<size_t> newly_dead;
-  for (int i = 0; i < 5; ++i) {
-    monitor.Heartbeat(0, "node-0");
-    for (size_t n : monitor.Tick(opt.heartbeat_interval_us)) newly_dead.push_back(n);
-  }
-  EXPECT_EQ(newly_dead, std::vector<size_t>{1});
-  EXPECT_TRUE(table.IsDead(1));
-  EXPECT_EQ(table.state(0), NodeState::kAlive);
-  // Beats from a dead node are ignored.
-  EXPECT_FALSE(monitor.Heartbeat(1, "node-1"));
-}
-
-TEST_F(ClusterHaTest, DroppedHeartbeatsKillTheWholeRosterDeterministically) {
-  // The cluster.heartbeat fault site drops every beat: all nodes fall silent
-  // and the monitor declares them dead after dead_misses intervals.
-  FaultInjector::Default().Reseed(7);
-  FaultInjector::Default().Arm("cluster.heartbeat", FaultSpec::Always());
-  cluster::ClusterConfig cc;
-  cc.nodes = 3;
-  cc.mode = cluster::ExecutionMode::kThreads;
-  cc.health.heartbeat_interval_us = 1000;
-  cc.health.suspect_misses = 2;
-  cc.health.dead_misses = 4;
-  cluster::Cluster cluster(cc);
-
-  std::vector<size_t> dead;
-  for (int i = 0; i < 6; ++i) {
-    for (size_t n : cluster.PumpHealth(cc.health.heartbeat_interval_us)) {
-      dead.push_back(n);
-    }
-  }
-  std::sort(dead.begin(), dead.end());
-  EXPECT_EQ(dead, (std::vector<size_t>{0, 1, 2}));
-  EXPECT_FALSE(cluster.CheckAlive(0).ok());
-  EXPECT_TRUE(cluster.CheckAlive(0).IsUnavailable());
-}
+// Node liveness
 
 TEST_F(ClusterHaTest, RosterIsFixedAndFailedNodesKeepTheirSlot) {
   cluster::ClusterConfig cc;
@@ -139,21 +48,38 @@ TEST_F(ClusterHaTest, RosterIsFixedAndFailedNodesKeepTheirSlot) {
   cc.mode = cluster::ExecutionMode::kThreads;
   cluster::Cluster cluster(cc);
   EXPECT_EQ(cluster.node_count(), 3u);
-  EXPECT_EQ(cluster.membership().size(), 3u);
   for (size_t n = 0; n < cluster.node_count(); ++n) {
     EXPECT_EQ(cluster.node(n).index(), n);
     EXPECT_TRUE(cluster.CheckAlive(n).ok());
   }
+  EXPECT_EQ(cluster.LiveNodes(), (std::vector<size_t>{0, 1, 2}));
   // Nothing exists past the roster built from the config.
   EXPECT_TRUE(cluster.CheckAlive(cluster.node_count()).IsUnavailable());
+  EXPECT_TRUE(cluster.FailNode(cluster.node_count()).IsNotFound());
 
-  ASSERT_TRUE(cluster.membership().SetState(0, NodeState::kSuspect).ok());
-  EXPECT_FALSE(cluster.membership().IsRoutable(0));
+  // Dead is terminal, so failing a dead node again is a no-op: it succeeds
+  // and records no second event.
+  obs::FlightRecorder& recorder = obs::FlightRecorder::Default();
+  const uint64_t events_before = recorder.events_recorded();
   ASSERT_TRUE(cluster.FailNode(1).ok());
+  ASSERT_TRUE(cluster.FailNode(1).ok());
+  const uint64_t new_events = recorder.events_recorded() - events_before;
+  ASSERT_GT(new_events, 0u);
+  size_t node1_deaths = 0;
+  for (const obs::FlightEvent& event : recorder.Recent(new_events)) {
+    if (event.kind == obs::FlightEventKind::kNodeDead && event.node == 1) {
+      ++node1_deaths;
+    }
+  }
+  EXPECT_EQ(node1_deaths, 1u);
   EXPECT_TRUE(cluster.CheckAlive(1).IsUnavailable());
-  EXPECT_EQ(cluster.membership().RoutableNodes(), std::vector<size_t>{2});
+  EXPECT_EQ(cluster.LiveNodes(), (std::vector<size_t>{0, 2}));
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();
+  EXPECT_EQ(registry.GetGauge("idea.cluster.nodes_alive")->value(), 2);
+  EXPECT_EQ(registry.GetGauge("idea.cluster.nodes_dead")->value(), 1);
   // A dead node keeps its index; the roster does not shrink.
   EXPECT_EQ(cluster.node_count(), 3u);
+  EXPECT_EQ(cluster.node(1).index(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,35 +198,6 @@ TEST_F(ClusterHaTest, CongestionRoutingDrainsAroundTheHotPartition) {
   EXPECT_LT(intake.holder(0)->stats().records_in - kPrefill, 20u);
 }
 
-TEST_F(ClusterHaTest, FeedWithASuspectNodeStoresEveryRecord) {
-  cluster::ClusterConfig cc;
-  cc.nodes = 3;
-  cc.mode = cluster::ExecutionMode::kThreads;
-  cluster::Cluster cluster(cc);
-  storage::Catalog catalog;
-  feed::UdfRegistry udfs;
-  feed::ActiveFeedManager afm(&cluster, &catalog, &udfs);
-  ASSERT_TRUE(catalog
-                  .CreateDatatype(adm::Datatype(
-                      "T", {{"id", adm::FieldType::kInt64, false}}))
-                  .ok());
-  ASSERT_TRUE(catalog.CreateDataset("D", "T", "id").ok());
-  ASSERT_TRUE(cluster.membership().SetState(1, NodeState::kSuspect).ok());
-
-  auto records = std::make_shared<std::vector<std::string>>();
-  for (int i = 0; i < 300; ++i) records->push_back("{\"id\": " + std::to_string(i) + "}");
-  feed::ActiveFeedManager::StartArgs args;
-  args.config.name = "WithSuspect";
-  args.config.type_name = "T";
-  args.config.batch_size = 60;
-  args.connection.dataset = "D";
-  args.adapter_factory = feed::MakeVectorAdapterFactory(records);
-  ASSERT_TRUE(afm.StartFeed(std::move(args)).ok());
-  auto stats = afm.WaitForFeedStats("WithSuspect");
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(catalog.FindDataset("D")->LiveRecordCount(), 300u);
-}
-
 // ---------------------------------------------------------------------------
 // Kill-a-node chaos soak: contents must be bit-identical to a clean run.
 
@@ -386,9 +283,9 @@ TEST_F(ClusterHaTest, KillANodeSoakLeavesContentsBitIdentical) {
 
 // ---------------------------------------------------------------------------
 // Paced sources: a source slower than the pipeline (the always-on case) must
-// keep being stored whatever state a node is in. Every invocation waits for
-// every partition's share of its batch, so one partition the router stops
-// feeding would stall the whole feed.
+// keep being stored after a node dies. Every invocation waits for every
+// partition's share of its batch, so one partition the router stops feeding
+// would stall the whole feed.
 
 /// Records that the test releases in steps. The adapter hands out released
 /// records and then waits for more, so every step reaches an idle pipeline.
@@ -468,22 +365,6 @@ feed::ActiveFeedManager::StartArgs PacedFeedArgs(const std::string& name,
   args.connection.dataset = "D";
   args.adapter_factory = source.Factory();
   return args;
-}
-
-TEST_F(ClusterHaTest, SuspectNodeKeepsAPacedFeedStoring) {
-  SoakEnv env;
-  ASSERT_TRUE(env.cluster->membership().SetState(1, NodeState::kSuspect).ok());
-  PacedSource source(SoakRecords(10 * kPacedStep));
-  ASSERT_TRUE(env.afm->StartFeed(PacedFeedArgs("PacedSuspect", source)).ok());
-  std::shared_ptr<storage::LsmDataset> dataset = env.catalog.FindDataset("D");
-  for (int step = 0; step < 10; ++step) {
-    const size_t released = source.Release(kPacedStep);
-    ASSERT_TRUE(WaitForStored(*dataset, released))
-        << "stored " << dataset->LiveRecordCount() << " of " << released;
-  }
-  source.Close();
-  ASSERT_TRUE(env.afm->WaitForFeed("PacedSuspect").ok());
-  EXPECT_EQ(dataset->LiveRecordCount(), 10 * kPacedStep);
 }
 
 TEST_F(ClusterHaTest, FailedOverFeedKeepsStoringAPacedSource) {

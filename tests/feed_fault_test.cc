@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "adm/json.h"
@@ -209,6 +210,54 @@ TEST_F(FeedFaultTest, AbortedFeedWritesAParseablePostMortem) {
   }
   EXPECT_TRUE(saw_abort) << line;
   std::remove((dir + "/Doomed.postmortem.json").c_str());
+}
+
+/// The `intake.read` fault point marks a record unreadable as the adapter
+/// hands it over, before any computing job sees it. The record follows the
+/// feed's failure policy, and the feed's summary counts it like a parse or
+/// storage reject.
+TEST_F(FeedFaultTest, IntakeReadFailuresFollowTheFeedPolicy) {
+  const size_t kRecords = 2000;
+  const std::pair<OnError, const char*> kPolicies[] = {
+      {OnError::kSkip, "skip"}, {OnError::kDeadLetter, "dead-letter"}, {OnError::kAbort, "abort"}};
+  for (const auto& [policy, name] : kPolicies) {
+    SCOPED_TRACE(name);
+    PipelineEnv env;
+    FaultInjector::Default().Reseed(42);
+    FaultInjector::Default().Arm("intake.read", FaultSpec::Probability(0.05));
+
+    ActiveFeedManager::StartArgs args;
+    args.config.name = "F";
+    args.config.type_name = "TweetType";
+    args.config.batch_size = 60;
+    args.config.on_error = policy;
+    args.connection.dataset = "Tweets";
+    args.adapter_factory = MakeVectorAdapterFactory(MakeTweets(kRecords));
+    ASSERT_TRUE(env.afm->StartFeed(std::move(args)).ok());
+    auto stats = env.afm->WaitForFeedStats("F");
+    FaultInjector::Default().DisarmAll();
+    if (policy == OnError::kAbort) {
+      // The first unreadable record fails the feed.
+      ASSERT_FALSE(stats.ok());
+      EXPECT_NE(stats.status().ToString().find("intake.read"), std::string::npos)
+          << stats.status().ToString();
+      continue;
+    }
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(env.catalog.FindDataset("Tweets")->LiveRecordCount(),
+              stats->records_ingested);
+    if (policy == OnError::kSkip) {
+      EXPECT_GT(stats->records_skipped, 0u);
+      EXPECT_EQ(stats->records_ingested + stats->records_skipped, kRecords);
+      continue;
+    }
+    std::shared_ptr<DeadLetterQueue> dlq = env.afm->dead_letter_queue("F");
+    ASSERT_NE(dlq, nullptr);
+    EXPECT_GT(stats->dead_letters, 0u);
+    EXPECT_EQ(stats->dead_letters, dlq->enqueued());
+    EXPECT_EQ(stats->records_ingested + stats->dead_letters, kRecords);
+    for (const DeadLetter& letter : dlq->Drain()) EXPECT_EQ(letter.stage, "intake");
+  }
 }
 
 TEST_F(FeedFaultTest, StorageFaultsFollowTheSkipPolicy) {

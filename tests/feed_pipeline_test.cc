@@ -496,10 +496,10 @@ TEST_F(FeedPipelineTest, FeedRestartsAfterItsAdapterFactoryFailed) {
 }
 
 TEST_F(FeedPipelineTest, TwoPartitionsOnOneNodeShareItsPlanSafely) {
-  // An HA feed places its partitions over the routable nodes only: with
-  // node 1 suspect, partitions 0 and 2 both run on node 0 and enrich through
-  // node 0's one plan in the same invocation.
-  ASSERT_TRUE(cluster_->membership().SetState(1, cluster::NodeState::kSuspect).ok());
+  // An HA feed places its partitions over the live nodes only: with node 1
+  // dead before the start, partitions 0 and 2 both run on node 0 and enrich
+  // through node 0's one plan in the same invocation.
+  ASSERT_TRUE(cluster_->FailNode(1).ok());
   ActiveFeedManager::StartArgs args;
   args.config.name = "Shared";
   args.config.type_name = "TweetType";
@@ -512,6 +512,8 @@ TEST_F(FeedPipelineTest, TwoPartitionsOnOneNodeShareItsPlanSafely) {
   auto stats = afm_->WaitForFeedStats("Shared");
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->records_ingested, 300u);
+  // No partition was ever placed on the dead node, so none failed over.
+  EXPECT_EQ(stats->failovers, 0u);
   auto snap = catalog_.FindDataset("EnrichedTweets")->Scan();
   ASSERT_EQ(snap->size(), 300u);
   size_t red = 0;

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Builds the tree under ThreadSanitizer and runs the concurrency-heavy test
-# binaries (runtime frames and partition holders, the worker-pool scheduler,
-# the three-job feed pipeline, the fault-injection machinery, the
+# binaries (runtime frames, frame views and partition holders, the
+# worker-pool scheduler, the three-job feed pipeline, the fault-injection
+# machinery and feed failure policies, node death and failover, the
 # observability primitives, the admin server / sampler / flight-recorder
 # telemetry plane, the LSM dataset's batched writers against its readers,
-# and the SQL++ facade's feed START/STOP with an update client running
-# against an enriching feed). Usage:
+# the batch/per-record evaluation equivalence suite, and the SQL++ facade's
+# feed START/STOP with an update client running against an enriching feed).
+# Usage:
 #
 #   tests/run_tsan.sh [build-dir [test-binary...]]
 #
@@ -20,9 +22,10 @@ shift $(( $# > 0 ? 1 : 0 ))
 
 TESTS=("$@")
 if [ ${#TESTS[@]} -eq 0 ]; then
-  TESTS=(runtime_test scheduler_test feed_pipeline_test obs_test
-         admin_server_test sqlpp_delta_refresh_test fault_injection_test
-         feed_fault_test cluster_ha_test storage_lsm_test instance_test)
+  TESTS=(runtime_test frame_view_test scheduler_test feed_pipeline_test
+         obs_test admin_server_test sqlpp_delta_refresh_test
+         fault_injection_test feed_fault_test cluster_ha_test storage_lsm_test
+         instance_test batch_eval_equivalence_test)
 fi
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DIDEA_SANITIZE=thread \

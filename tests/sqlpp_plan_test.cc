@@ -353,20 +353,6 @@ TEST_F(PlanTest, BtreeIndexPathSkipsItsEqualityConjunctBitIdentically) {
   EXPECT_GT((*indexed)->stats().probe_cache_hits, 0u);
 }
 
-TEST_F(PlanTest, ForkSharesNothingMutable) {
-  const auto& uc = workload::GetUseCase(workload::UseCaseId::kSafetyRating);
-  SetupUseCase(uc);
-  auto plan = EnrichmentPlan::Compile(ParseFn(uc.function_ddl), &accessor_, &resolver_);
-  ASSERT_TRUE(plan.ok());
-  auto fork = (*plan)->Fork();
-  ASSERT_NE(fork, nullptr);
-  ASSERT_TRUE(fork->Initialize().ok());
-  Value tweet = adm::ParseJson(R"({"id": 1, "country": "C00001", "text": ""})").value();
-  EXPECT_TRUE(fork->EnrichOne(tweet).ok());
-  // Original plan is independent (still uninitialized -> EnrichOne fails).
-  EXPECT_FALSE((*plan)->EnrichOne(tweet).ok());
-}
-
 TEST_F(PlanTest, EnrichBeforeInitializeFails) {
   const auto& uc = workload::GetUseCase(workload::UseCaseId::kSafetyRating);
   SetupUseCase(uc);
