@@ -1,22 +1,22 @@
 // Telemetry-plane overhead smoke: the fig24-style record-path kernel with the
-// live telemetry plane off vs on (TimeSeriesSampler at an aggressive 10ms
-// period + AdminServer being scraped). The plane's contract is that watching
-// the pipeline does not slow it down: this bench enforces <2% overhead on the
-// record path and emits BENCH_obs.json. Exit status is the gate — it runs
-// under ctest as micro_obs_smoke.
+// live telemetry plane off vs on (an AdminServer started and scraped). The
+// plane's contract is that watching the pipeline does not slow it down: this
+// bench enforces <2% overhead on the record path and emits BENCH_obs.json.
+// Exit status is the gate — it runs under ctest as micro_obs_smoke.
+//
+// The plane runs no background work: it reads the registry only when a
+// scrape asks. The scrapes happen between timed chunks, so the "on" passes
+// run no telemetry work while a chunk is timed, and the gate checks that a
+// started and scraped admin server leaves the record path alone.
 //
 // Measurement design follows micro_faults.cc: a deterministic single-threaded
 // kernel (JSON parse -> frame serde -> WAL-backed LSM upsert) is processed in
-// ~millisecond chunks, timed with the *thread* CPU clock so the sampler
-// thread's own (tiny, unavoidable) CPU use doesn't count against the record
-// path — the assertion is about contention and cache pressure the plane puts
-// ON the pipeline, which is what throughput sees. Passes alternate plane
-// off/on in an ABBA pattern so machine noise lands on both configurations
-// alike; the gate is the median over passes of the per-pass chunk-median
-// ratio, re-sampled up to 4 rounds. A full three-job pipeline run per config
-// is reported (unasserted) for context, and the admin endpoints are actually
-// scraped between timed chunks during "on" passes so the measured plane is a
-// live one, not an idle thread.
+// ~millisecond chunks, timed with the *thread* CPU clock so the admin
+// thread's own CPU use doesn't count against the record path. Passes
+// alternate plane off/on in an ABBA pattern so machine noise lands on both
+// configurations alike; the gate is the median over passes of the per-pass
+// chunk-median ratio, re-sampled up to 4 rounds. A full three-job pipeline
+// run per config is reported (unasserted) for context.
 #include <ctime>
 
 #include <algorithm>
@@ -34,7 +34,6 @@
 #include "obs/admin_server.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
-#include "obs/timeseries.h"
 #include "storage/lsm_dataset.h"
 
 namespace {
@@ -63,8 +62,8 @@ std::shared_ptr<std::vector<std::string>> MakeTweets(size_t n) {
 }
 
 /// CPU time of the calling thread in microseconds. The kernel is
-/// single-threaded, so this isolates the record path from the sampler/admin
-/// threads' own cycles and from everything else on the machine.
+/// single-threaded, so this isolates the record path from the admin
+/// thread's own cycles and from everything else on the machine.
 double ThreadCpuMicros() {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
@@ -72,14 +71,12 @@ double ThreadCpuMicros() {
          static_cast<double>(ts.tv_nsec) / 1e3;
 }
 
-/// The live telemetry plane under test: an aggressive sampler (25x the
-/// default rate) plus an admin server that gets scraped during the pass.
+/// The live telemetry plane under test: an admin server that gets scraped
+/// during the pass.
 struct TelemetryPlane {
-  idea::obs::TimeSeriesSampler sampler;
   idea::obs::AdminServer server;
 
-  TelemetryPlane()
-      : sampler(&idea::obs::MetricsRegistry::Default(), SamplerOptions()) {
+  TelemetryPlane() {
     server.Handle("/metrics", [](const idea::obs::HttpRequest&) {
       idea::obs::SnapshotExporter exporter(&idea::obs::MetricsRegistry::Default());
       idea::obs::HttpResponse r;
@@ -95,22 +92,8 @@ struct TelemetryPlane {
     });
   }
 
-  static idea::obs::TimeSeriesOptions SamplerOptions() {
-    idea::obs::TimeSeriesOptions o;
-    o.period_us = 10'000;
-    o.capacity = 64;
-    o.prefixes = {"idea."};  // sample everything: worst-case snapshot cost
-    return o;
-  }
-
-  void Start() {
-    Check(sampler.Start(), "start sampler");
-    Check(server.Start(), "start admin server");
-  }
-  void Stop() {
-    server.Stop();
-    sampler.Stop();
-  }
+  void Start() { Check(server.Start(), "start admin server"); }
+  void Stop() { server.Stop(); }
   void Scrape(const char* path) {
     auto body = idea::obs::HttpGet("127.0.0.1", server.port(), path);
     Check(body.ok() ? idea::Status::OK() : body.status(), "scrape admin");
@@ -124,7 +107,7 @@ struct TelemetryPlane {
 /// Single-threaded fig24-style record path (same kernel as micro_faults.cc):
 /// parse, serialize into a frame and back (the computing -> storage ship),
 /// upsert into a WAL-backed LSM dataset. Every stage records into the global
-/// registry the sampler is concurrently snapshotting.
+/// registry the scrapes read.
 struct KernelState {
   idea::storage::LsmDataset dataset{
       "kernel", idea::adm::Datatype(
@@ -262,13 +245,11 @@ int main() {
   int run_id = 0;
   const double off_wall = RunIngestion(tweets, run_id++);
   double on_wall = 0;
-  uint64_t samples_taken = 0;
   {
     TelemetryPlane plane;
     plane.Start();
     on_wall = RunIngestion(tweets, run_id++);
     plane.Scrape("/metrics");
-    samples_taken = plane.sampler.samples_taken();
     plane.Stop();
   }
 
@@ -279,7 +260,7 @@ int main() {
   const double on_rps = kChunkRecords * 1e6 / on_chunk;
 
   std::printf("fig24-style record-path kernel, %zu records/pass, "
-              "%zu-record chunks, sampler @10ms + admin scrapes\n",
+              "%zu-record chunks, admin scrapes\n",
               kTweets, kChunkRecords);
   std::printf("  plane off : %9.1f us cpu/chunk  (%.0f rec/s)\n", off_chunk,
               off_rps);
@@ -290,8 +271,8 @@ int main() {
   std::printf("  pooled chunk-median ratio (context) : %.2f %%\n",
               pooled_ratio_pct);
   std::printf("three-job pipeline (unasserted): plane off %.0f rec/s, "
-              "plane on %.0f rec/s (wall), %" PRIu64 " samples taken\n",
-              kTweets * 1e6 / off_wall, kTweets * 1e6 / on_wall, samples_taken);
+              "plane on %.0f rec/s (wall)\n",
+              kTweets * 1e6 / off_wall, kTweets * 1e6 / on_wall);
 
   std::FILE* f = std::fopen("BENCH_obs.json", "w");
   if (f != nullptr) {
@@ -303,12 +284,11 @@ int main() {
                  "\"kernel_plane_off_rps\":%.1f,\"kernel_plane_on_rps\":%.1f,"
                  "\"overhead_pct\":%.3f,\"pooled_ratio_pct\":%.3f,"
                  "\"limit_pct\":%.1f,"
-                 "\"pipeline_plane_off_rps\":%.1f,\"pipeline_plane_on_rps\":%.1f,"
-                 "\"sampler_samples\":%" PRIu64 "}\n",
+                 "\"pipeline_plane_off_rps\":%.1f,\"pipeline_plane_on_rps\":%.1f}\n",
                  kTweets, kChunkRecords, pair_ratios.size(), off_chunk,
                  on_chunk, off_rps, on_rps, overhead_pct, pooled_ratio_pct,
                  kOverheadLimitPct, kTweets * 1e6 / off_wall,
-                 kTweets * 1e6 / on_wall, samples_taken);
+                 kTweets * 1e6 / on_wall);
     std::fclose(f);
     std::printf("wrote BENCH_obs.json\n");
   }

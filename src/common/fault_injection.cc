@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
-#include "common/string_util.h"
 #include "obs/flight_recorder.h"
 
 namespace idea::common {
@@ -23,21 +21,6 @@ uint64_t SplitMix64(uint64_t x) {
 double HashToUnit(uint64_t seed, std::string_view payload) {
   uint64_t m = SplitMix64(seed ^ StableHash64(payload));
   return static_cast<double>(m >> 11) * 0x1.0p-53;
-}
-
-Result<StatusCode> CodeFromName(const std::string& name) {
-  std::string n = ToLowerAscii(name);
-  if (n == "internal" || n == "io") return StatusCode::kInternal;
-  if (n == "parse_error") return StatusCode::kParseError;
-  if (n == "type_mismatch") return StatusCode::kTypeMismatch;
-  if (n == "corruption") return StatusCode::kCorruption;
-  if (n == "aborted") return StatusCode::kAborted;
-  if (n == "timed_out") return StatusCode::kTimedOut;
-  if (n == "not_found") return StatusCode::kNotFound;
-  if (n == "resource_exhausted") return StatusCode::kResourceExhausted;
-  if (n == "invalid_argument") return StatusCode::kInvalidArgument;
-  if (n == "ok") return StatusCode::kOk;
-  return Status::InvalidArgument("unknown fault status code '" + name + "'");
 }
 
 // --- per-thread fault-point state -------------------------------------------
@@ -238,7 +221,7 @@ void FaultInjector::Arm(const std::string& point, FaultSpec spec) {
   std::lock_guard<std::mutex> lock(mu_);
   // Quiesce the point before rewriting its spec: Hit() reads spec_/seed_
   // without a lock, guarded only by the armed tag.
-  bool was_armed = p->armed_tag_.exchange(0, std::memory_order_acq_rel) != 0;
+  p->armed_tag_.exchange(0, std::memory_order_acq_rel);
   {
     std::lock_guard<std::mutex> plock(p->mu_);
     p->spec_ = spec;
@@ -246,25 +229,19 @@ void FaultInjector::Arm(const std::string& point, FaultSpec spec) {
     p->rng_ = Rng(p->seed_);
     p->ResetCountersLocked();
   }
-  if (!was_armed) armed_count_.fetch_add(1, std::memory_order_relaxed);
   p->armed_tag_.store(p->ArmedTag(), std::memory_order_release);
 }
 
 void FaultInjector::Disarm(const std::string& point) {
   std::lock_guard<std::mutex> lock(mu_);
   FaultPoint* p = FindLocked(point);
-  if (p == nullptr) return;
-  if (p->armed_tag_.exchange(0, std::memory_order_acq_rel) != 0) {
-    armed_count_.fetch_sub(1, std::memory_order_relaxed);
-  }
+  if (p != nullptr) p->armed_tag_.exchange(0, std::memory_order_acq_rel);
 }
 
 void FaultInjector::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, p] : points_) {
-    if (p->armed_tag_.exchange(0, std::memory_order_acq_rel) != 0) {
-      armed_count_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    p->armed_tag_.exchange(0, std::memory_order_acq_rel);
   }
 }
 
@@ -285,125 +262,11 @@ void FaultInjector::Reseed(uint64_t seed) {
   }
 }
 
-uint64_t FaultInjector::seed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return seed_;
-}
-
-Result<int> FaultInjector::ArmFromString(const std::string& spec) {
-  // Split on ';' and ','.
-  std::vector<std::string> entries;
-  std::string cur;
-  for (char c : spec) {
-    if (c == ';' || c == ',') {
-      entries.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  entries.push_back(cur);
-
-  // Two passes: seed entries apply first so every armed point derives from
-  // the final seed no matter where "seed=" sits in the string.
-  std::vector<std::pair<std::string, FaultSpec>> to_arm;
-  bool have_seed = false;
-  uint64_t new_seed = 0;
-  for (std::string entry : entries) {
-    entry = Trim(entry);
-    if (entry.empty()) continue;
-    size_t eq = entry.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return Status::InvalidArgument("bad fault spec entry '" + entry +
-                                     "' (want point=trigger[...])");
-    }
-    std::string point = Trim(entry.substr(0, eq));
-    std::string rest = Trim(entry.substr(eq + 1));
-    if (point == "seed") {
-      new_seed = std::strtoull(rest.c_str(), nullptr, 10);
-      have_seed = true;
-      continue;
-    }
-    // rest := trigger[:arg][:code][:delay=N]
-    std::vector<std::string> parts = SplitString(rest, ':');
-    if (parts.empty()) {
-      return Status::InvalidArgument("empty fault trigger in '" + entry + "'");
-    }
-    FaultSpec fs;
-    size_t next = 1;
-    const std::string trig = ToLowerAscii(parts[0]);
-    auto need_arg = [&]() -> Result<std::string> {
-      if (next >= parts.size()) {
-        return Status::InvalidArgument("fault trigger '" + trig +
-                                       "' needs an argument in '" + entry + "'");
-      }
-      return parts[next++];
-    };
-    if (trig == "always") {
-      fs.trigger = FaultSpec::Trigger::kAlways;
-    } else if (trig == "nth" || trig == "every") {
-      IDEA_ASSIGN_OR_RETURN(std::string arg, need_arg());
-      fs.trigger =
-          trig == "nth" ? FaultSpec::Trigger::kNth : FaultSpec::Trigger::kEveryNth;
-      fs.nth = std::strtoull(arg.c_str(), nullptr, 10);
-      if (fs.nth == 0) {
-        return Status::InvalidArgument("fault trigger '" + trig +
-                                       "' needs n >= 1 in '" + entry + "'");
-      }
-    } else if (trig == "prob") {
-      IDEA_ASSIGN_OR_RETURN(std::string arg, need_arg());
-      fs.trigger = FaultSpec::Trigger::kProbability;
-      fs.probability = std::strtod(arg.c_str(), nullptr);
-      if (fs.probability < 0.0 || fs.probability > 1.0) {
-        return Status::InvalidArgument("fault probability out of [0,1] in '" +
-                                       entry + "'");
-      }
-    } else if (trig == "delay") {
-      IDEA_ASSIGN_OR_RETURN(std::string arg, need_arg());
-      fs.trigger = FaultSpec::Trigger::kAlways;
-      fs.code = StatusCode::kOk;
-      fs.delay_us = std::strtoull(arg.c_str(), nullptr, 10);
-    } else {
-      return Status::InvalidArgument("unknown fault trigger '" + parts[0] +
-                                     "' in '" + entry + "'");
-    }
-    for (; next < parts.size(); ++next) {
-      const std::string& p = parts[next];
-      if (p.rfind("delay=", 0) == 0) {
-        fs.delay_us = std::strtoull(p.c_str() + 6, nullptr, 10);
-      } else if (p.rfind("max_fires=", 0) == 0) {
-        fs.max_fires = std::strtoull(p.c_str() + 10, nullptr, 10);
-      } else {
-        IDEA_ASSIGN_OR_RETURN(fs.code, CodeFromName(p));
-      }
-    }
-    to_arm.emplace_back(std::move(point), fs);
-  }
-  if (have_seed) Reseed(new_seed);
-  for (auto& [point, fs] : to_arm) Arm(point, fs);
-  return static_cast<int>(to_arm.size());
-}
-
-Result<int> FaultInjector::ArmFromEnv(const char* var) {
-  const char* value = std::getenv(var);
-  if (value == nullptr || value[0] == '\0') return 0;
-  return ArmFromString(value);
-}
-
 FaultInjector::PointStats FaultInjector::GetStats(const std::string& point) const {
   std::lock_guard<std::mutex> lock(mu_);
   const FaultPoint* p = FindLocked(point);
   if (p == nullptr) return PointStats{};
   return PointStats{p->hits(), p->fires(), p->armed()};
-}
-
-std::map<std::string, FaultInjector::PointStats> FaultInjector::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, PointStats> out;
-  for (const auto& [name, p] : points_) {
-    out.emplace(name, PointStats{p->hits(), p->fires(), p->armed()});
-  }
-  return out;
 }
 
 }  // namespace idea::common

@@ -26,9 +26,8 @@
 //   ... run ...
 //   FaultInjector::Default().DisarmAll();
 //
-// The IDEA_FAULTS environment variable arms points at startup (see
-// FaultInjector::ArmFromEnv), e.g.
-//   IDEA_FAULTS="seed=42;compute.parse=prob:0.01:parse_error;wal.append=nth:100"
+// Points are armed in code only (tests, soak harnesses, benches): nothing
+// reads the environment, so a run's outcome depends on no hidden input.
 #pragma once
 
 #include <atomic>
@@ -292,21 +291,6 @@ class FaultInjector {
   /// Sets the injector seed and reseeds + resets every point (armed or not).
   /// Same seed + same spec + same data => identical fire decisions.
   void Reseed(uint64_t seed);
-  uint64_t seed() const;
-
-  /// Arms points from a spec string:
-  ///   entry        := point "=" trigger [":" code] [":delay=" micros]
-  ///                 | "seed=" number
-  ///   trigger      := "always" | "nth:" n | "every:" n | "prob:" p
-  ///                 | "delay:" micros
-  ///   code         := "internal" | "parse_error" | "type_mismatch" | "io"
-  ///                 | "corruption" | "aborted" | "timed_out" | "not_found"
-  ///                 | "resource_exhausted" | "invalid_argument" | "ok"
-  /// Entries are ";"- or ","-separated. Returns the number of points armed.
-  Result<int> ArmFromString(const std::string& spec);
-
-  /// ArmFromString over the given environment variable; 0 when unset/empty.
-  Result<int> ArmFromEnv(const char* var = "IDEA_FAULTS");
 
   struct PointStats {
     uint64_t hits = 0;
@@ -315,13 +299,6 @@ class FaultInjector {
   };
   /// Stats for one point (zeros when the point does not exist).
   PointStats GetStats(const std::string& point) const;
-  /// Stats for every registered point, by name.
-  std::map<std::string, PointStats> Stats() const;
-
-  /// True when at least one point is armed. The IDEA_FAULT_HIT macros do not
-  /// consult this (the per-point armed tag suffices); exposed for tests and
-  /// for gating optional bookkeeping.
-  bool enabled() const { return armed_count_.load(std::memory_order_relaxed) > 0; }
 
  private:
   FaultPoint* FindLocked(const std::string& name) const;
@@ -331,7 +308,6 @@ class FaultInjector {
   // the process (call sites cache them in function-local statics).
   std::map<std::string, FaultPoint*, std::less<>> points_;
   uint64_t seed_ = 0;
-  std::atomic<uint64_t> armed_count_{0};
 };
 
 }  // namespace idea::common

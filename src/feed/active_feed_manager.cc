@@ -125,10 +125,10 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
   WallTimer lifetime;
   lifetime.Start();
   // Per-feed registry scope: feed-lifecycle metrics live under
-  // idea.feed.<name>.* alongside the per-stage idea.{intake,compute,storage}
+  // idea.feed.<name>.* (the storage drains add records_ingested there as
+  // frames commit) alongside the per-stage idea.{intake,compute,storage}
   // series the jobs record themselves.
   obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.feed." + feed->config.name);
-  obs::Counter* records_metric = scope.Counter("records_ingested");
   obs::Counter* jobs_metric = scope.Counter("computing_jobs");
   obs::Gauge* inflight = scope.Gauge("inflight_invocations");
 
@@ -171,10 +171,7 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
         feed->stats.compute_micros_total += inv->wall_micros;
       }
     }
-    if (inv->records_in > 0 || !inv->intake_exhausted) {
-      records_metric->Add(inv->records_out);
-      jobs_metric->Increment();
-    }
+    if (inv->records_in > 0 || !inv->intake_exhausted) jobs_metric->Increment();
     if (inv->intake_exhausted) break;
   }
 

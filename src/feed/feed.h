@@ -67,8 +67,7 @@ struct FeedConfig {
   /// When non-empty, a failed feed writes a post-mortem (final metrics +
   /// flight-recorder dump, one JSON object) to
   /// `<post_mortem_dir>/<feed>.postmortem.json` — no live admin endpoint
-  /// required. Set per feed via WITH {"post-mortem-dir": ...} or instance-wide
-  /// via InstanceOptions::post_mortem_dir.
+  /// required. Set per feed via WITH {"post-mortem-dir": ...}.
   std::string post_mortem_dir;
   /// Adapter config passthrough ("adapter-name", "sockets", ...).
   std::map<std::string, std::string> adapter_config;

@@ -36,6 +36,8 @@ Status StorageJob::Start(const std::vector<size_t>& placement) {
   commit_us_ = scope.Histogram("commit_us");
   frames_stored_ = scope.Counter("frames");
   records_metric_ = scope.Counter("records");
+  records_ingested_ = obs::MetricsRegistry::Default().GetCounter(
+      "idea.feed." + feed_name_ + ".records_ingested");
   for (size_t p = 0; p < placement.size(); ++p) {
     const size_t node = placement[p];
     auto holder = std::make_shared<runtime::StoragePartitionHolder>(
@@ -127,6 +129,7 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
             size_t i = 0;        // next record to store
             size_t hit_end = 0;  // records [i, hit_end) passed storage.apply
             Status hit_failed;   // failed hit of record hit_end, if any
+            size_t rejected = 0;  // records skipped or dead-lettered
             while (i < n) {
               while (hit_failed.ok() && hit_end < n) {
                 hit_failed = IDEA_FAULT_HIT("storage.apply");
@@ -158,6 +161,7 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
               } else {
                 return written;
               }
+              ++rejected;
             }
             IDEA_RETURN_NOT_OK(decoded);
             apply_cpu_us_->Record(cpu_timer.ElapsedMicros());
@@ -176,12 +180,15 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
             tracer.AddSpan(frame.trace_id(),
                            obs::Span{"storage.flush", static_cast<int>(p), t2,
                                      obs::NowMicros() - t2});
-            // Durable: retire this frame against its intake lease so the
+            IDEA_RETURN_NOT_OK(flushed);
+            // Durable: count the records committed to the dataset, and
+            // retire this frame against its intake lease so the
             // at-least-once ledger stops tracking it.
-            if (flushed.ok() && ack_fn_ && frame.lease_id() != 0) {
+            records_ingested_->Add(n - rejected);
+            if (ack_fn_ && frame.lease_id() != 0) {
               ack_fn_(frame.origin_partition(), frame.lease_id());
             }
-            return flushed;
+            return Status::OK();
           };
           Status stored = store();
           if (!stored.ok()) {

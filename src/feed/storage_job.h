@@ -115,6 +115,7 @@ class StorageJob {
   obs::Histogram* commit_us_ = nullptr;
   obs::Counter* frames_stored_ = nullptr;
   obs::Counter* records_metric_ = nullptr;
+  obs::Counter* records_ingested_ = nullptr;  // idea.feed.<f>.records_ingested
 };
 
 }  // namespace idea::feed

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "adm/json.h"
-#include "common/fault_injection.h"
 #include "common/string_util.h"
 #include "obs/flight_recorder.h"
 #include "obs/snapshot.h"
@@ -44,38 +43,20 @@ Status ReadFeedCount(const std::map<std::string, std::string>& with, const char*
 }  // namespace
 
 Instance::Instance(InstanceOptions options) : options_(options) {
-  // Operators arm fault points for a whole run through the environment, e.g.
-  // IDEA_FAULTS="seed=42;compute.parse=prob:0.01:parse_error". A malformed
-  // spec must not take the instance down; it is reported on stderr instead.
-  Result<int> armed = common::FaultInjector::Default().ArmFromEnv();
-  if (!armed.ok()) {
-    std::fprintf(stderr, "idea: ignoring bad IDEA_FAULTS: %s\n",
-                 armed.status().ToString().c_str());
-  }
   cluster_ = std::make_unique<cluster::Cluster>(options_.cluster);
   afm_ = std::make_unique<feed::ActiveFeedManager>(cluster_.get(), &catalog_, &udfs_);
   StartTelemetryPlane();
 }
 
 Instance::~Instance() {
-  // Admin handlers reach into the AFM; take the server (then the sampler)
-  // down before the pipeline they observe.
+  // Admin handlers reach into the AFM; take the server down before the
+  // pipeline it observes.
   if (admin_server_ != nullptr) admin_server_->Stop();
-  if (sampler_ != nullptr) sampler_->Stop();
   // AFM teardown stops any feeds still running.
   afm_.reset();
 }
 
 void Instance::StartTelemetryPlane() {
-  if (options_.enable_sampler) {
-    sampler_ = std::make_unique<obs::TimeSeriesSampler>(
-        &obs::MetricsRegistry::Default(), options_.sampler);
-    Status st = sampler_->Start();
-    if (!st.ok()) {
-      std::fprintf(stderr, "idea: sampler disabled: %s\n", st.ToString().c_str());
-      sampler_.reset();
-    }
-  }
   if (!options_.enable_admin_server) return;
   admin_server_ = std::make_unique<obs::AdminServer>(options_.admin);
   admin_server_->Handle("/healthz", [this](const obs::HttpRequest&) {
@@ -104,15 +85,6 @@ void Instance::StartTelemetryPlane() {
   admin_server_->Handle("/traces", [](const obs::HttpRequest&) {
     obs::HttpResponse r;
     r.body = obs::SnapshotExporter::ChromeTraceJson(obs::Tracer::Default().Recent());
-    return r;
-  });
-  admin_server_->Handle("/timeseries", [this](const obs::HttpRequest&) {
-    obs::HttpResponse r;
-    if (sampler_ != nullptr) {
-      r.body = sampler_->ToJson();
-    } else {
-      r.body = "{\"type\":\"timeseries\",\"enabled\":false,\"series\":{}}";
-    }
     return r;
   });
   admin_server_->Handle("/feeds", [this](const obs::HttpRequest&) {
@@ -233,7 +205,7 @@ Result<adm::Array> Instance::ExecuteStatement(sqlpp::Statement stmt) {
     case StatementKind::kCreateDataset: {
       IDEA_RETURN_NOT_OK(catalog_.CreateDataset(
           stmt.create_dataset.name, stmt.create_dataset.type_name,
-          stmt.create_dataset.primary_key, options_.dataset_defaults));
+          stmt.create_dataset.primary_key));
       return adm::Array{};
     }
     case StatementKind::kCreateIndex: {
@@ -403,9 +375,6 @@ Status Instance::StartFeedStatement(const std::string& feed_name) {
   }
   if (!factory) {
     IDEA_ASSIGN_OR_RETURN(factory, feed::MakeAdapterFactory(args.config.adapter_config));
-  }
-  if (args.config.post_mortem_dir.empty()) {
-    args.config.post_mortem_dir = options_.post_mortem_dir;
   }
   args.adapter_factory = std::move(factory);
   return afm_->StartFeed(std::move(args));

@@ -18,7 +18,6 @@
 #include "feed/feed.h"
 #include "feed/udf.h"
 #include "obs/admin_server.h"
-#include "obs/timeseries.h"
 #include "sqlpp/ast.h"
 #include "storage/catalog.h"
 
@@ -26,21 +25,12 @@ namespace idea {
 
 struct InstanceOptions {
   cluster::ClusterConfig cluster;
-  storage::DatasetOptions dataset_defaults;
   /// Embedded HTTP admin endpoint (GET /healthz, /metrics, /metrics.prom,
-  /// /traces, /timeseries, /feeds, /flightrecorder). Off by default; bind
-  /// address/port come from `admin` (port 0 = ephemeral, read back via
+  /// /traces, /feeds, /flightrecorder). Off by default; bind address/port
+  /// come from `admin` (port 0 = ephemeral, read back via
   /// Instance::admin_port()).
   bool enable_admin_server = false;
   obs::AdminServerOptions admin;
-  /// Background time-series sampler feeding /timeseries (rates, queue
-  /// depths, latency p95s). Off by default.
-  bool enable_sampler = false;
-  obs::TimeSeriesOptions sampler;
-  /// Instance-wide default for FeedConfig::post_mortem_dir: feeds that fail
-  /// write a final metrics + flight-recorder snapshot here. Per-feed
-  /// WITH {"post-mortem-dir": ...} overrides it.
-  std::string post_mortem_dir;
 };
 
 class Instance {
@@ -102,7 +92,6 @@ class Instance {
     return admin_server_ == nullptr ? 0 : admin_server_->port();
   }
   obs::AdminServer* admin_server() { return admin_server_.get(); }
-  obs::TimeSeriesSampler* sampler() { return sampler_.get(); }
 
   /// One JSON object describing every declared feed: activity, runtime
   /// counters, inflight invocations, DLQ depth. Served at /feeds.
@@ -120,7 +109,6 @@ class Instance {
   storage::Catalog catalog_;
   feed::UdfRegistry udfs_;
   std::unique_ptr<feed::ActiveFeedManager> afm_;
-  std::unique_ptr<obs::TimeSeriesSampler> sampler_;
   std::unique_ptr<obs::AdminServer> admin_server_;
 
   struct FeedDecl {

@@ -36,9 +36,9 @@ struct AdminServerOptions {
 
 /// Embedded HTTP/1.1 admin server: plain POSIX sockets, a tiny GET-only
 /// parser, and a route table filled in by the owner (Instance registers
-/// /healthz, /metrics, /metrics.prom, /traces, /timeseries, /feeds,
-/// /flightrecorder). One accept thread handles connections serially —
-/// admin traffic is a human or a scraper, not a workload.
+/// /healthz, /metrics, /metrics.prom, /traces, /feeds, /flightrecorder).
+/// One accept thread handles connections serially — admin traffic is a
+/// human or a scraper, not a workload.
 class AdminServer {
  public:
   explicit AdminServer(AdminServerOptions options = {});

@@ -1,6 +1,7 @@
 // SnapshotExporter: serializes a MetricsRegistry plus recent batch timelines
-// to JSON-lines on demand (DumpMetricsJson / stdout). Periodic sampling is
-// TimeSeriesSampler's job (obs/timeseries.h).
+// to JSON-lines on demand (DumpMetricsJson / stdout, and the admin plane's
+// /metrics). Nothing samples in the background: a rate or a windowed
+// histogram delta is the difference of two snapshots taken on request.
 //
 // Line format (one JSON object per line):
 //   {"type":"metrics","ts_us":...,"counters":{...},

@@ -13,6 +13,15 @@ namespace idea::sqlpp {
 
 using adm::Value;
 
+namespace {
+
+/// Probe-memo byte budget per access path; once reached, further misses are
+/// served live without being cached (skewed workloads cache the hot keys
+/// first, which is where the win is).
+constexpr size_t kProbeCacheMaxBytes = 8ull << 20;
+
+}  // namespace
+
 const char* AccessPathKindName(AccessPathKind k) {
   switch (k) {
     case AccessPathKind::kHashBuildProbe:
@@ -131,7 +140,7 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
   void ProbeCacheInsert(const Value& key, const std::vector<Value>& records) {
     size_t bytes = key.EstimateSize() + 48;
     for (const Value& r : records) bytes += r.EstimateSize();
-    if (probe_cache_bytes + bytes > config->probe_cache_max_bytes) return;
+    if (probe_cache_bytes + bytes > kProbeCacheMaxBytes) return;
     probe_cache_bytes += bytes;
     probe_cache[Value::Hash(key)].push_back(ProbeCacheEntry{key, records});
   }

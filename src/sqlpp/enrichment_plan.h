@@ -56,12 +56,8 @@ struct PlanConfig {
   /// Memoize index nested-loop probe results per probe key, validated against
   /// the reference dataset's mutation sequence. A sequence move (or an
   /// unversioned accessor) drops the memo, so cached probes are always
-  /// bit-identical to live ones.
+  /// bit-identical to live ones. The memo holds at most 8 MiB per access path.
   bool enable_probe_cache = true;
-  /// Probe-memo byte budget per access path; once reached, further misses are
-  /// served live without being cached (skewed workloads cache the hot keys
-  /// first, which is where the win is).
-  size_t probe_cache_max_bytes = 8ull << 20;
 };
 
 /// How one Initialize() call refreshed the plan's intermediate state.

@@ -15,7 +15,6 @@ LsmDataset::LsmDataset(std::string name, adm::Datatype datatype, std::string pri
       datatype_(std::move(datatype)),
       primary_key_(std::move(primary_key)),
       options_(options) {
-  if (options_.enable_wal) wal_ = std::make_unique<Wal>();
   obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.lsm." + name_);
   metrics_.writes = scope.Counter("writes");
   metrics_.flushes = scope.Counter("flushes");
@@ -87,7 +86,7 @@ Status LsmDataset::WriteLocked(WalRecordType type, Value record) {
       }
       break;
   }
-  if (wal_ != nullptr) {
+  {
     // The log only serializes the record: lend it to the WAL record and
     // take it back rather than copy it.
     const bool logs_record = type != WalRecordType::kDelete;
@@ -347,16 +346,10 @@ Status LsmDataset::FlushMemTable() {
   return Status::OK();
 }
 
-Status LsmDataset::FlushWal() {
-  if (wal_ == nullptr) return Status::OK();
-  return wal_->Flush();
-}
+Status LsmDataset::FlushWal() { return wal_->Flush(); }
 
 Result<std::vector<WalRecord>> LsmDataset::ReadWal() const {
   std::shared_lock lock(mu_);
-  if (wal_ == nullptr) {
-    return Status::NotFound("dataset '" + name_ + "' has no WAL attached");
-  }
   return wal_->ReadAll();
 }
 
@@ -398,9 +391,7 @@ DatasetStats LsmDataset::stats() const {
   return out;
 }
 
-WalStats LsmDataset::wal_stats() const {
-  return wal_ != nullptr ? wal_->stats() : WalStats{};
-}
+WalStats LsmDataset::wal_stats() const { return wal_->stats(); }
 
 size_t LsmDataset::ComponentCount() const {
   std::shared_lock lock(mu_);

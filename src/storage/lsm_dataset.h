@@ -47,8 +47,6 @@ struct DatasetOptions {
   size_t memtable_bytes = 4u << 20;
   /// Full-merge compaction trigger (number of immutable components).
   size_t compaction_threshold = 8;
-  /// Attach an in-memory WAL (durability cost accounting).
-  bool enable_wal = true;
   /// Entries retained in the in-memory changelog ring behind ScanDelta().
   /// Once more than this many writes land since a reader's base sequence,
   /// the ring has wrapped and the reader must fall back to a full rebuild.
@@ -145,9 +143,8 @@ class LsmDataset {
   /// Group-commits the WAL; storage jobs call this once per stored batch.
   Status FlushWal();
 
-  /// The attached WAL's full contents, oldest first (crash recovery reads the
-  /// survivor's log through this). NotFound when the dataset runs without a
-  /// WAL.
+  /// The WAL's full contents, oldest first (crash recovery reads the
+  /// survivor's log through this).
   Result<std::vector<WalRecord>> ReadWal() const;
 
   /// Crash recovery: replays a WAL (typically another instance's, read via
@@ -186,7 +183,9 @@ class LsmDataset {
   MemTable memtable_;
   std::vector<SortedComponent> components_;              // oldest first
   std::unordered_map<std::string, IndexSlot> indexes_;  // by field
-  std::unique_ptr<Wal> wal_;
+  // Never null. On the heap because an inline log measured slower on
+  // perfbench's enrich_fresh (EXPERIMENTS.md, "Telemetry is read when asked").
+  std::unique_ptr<Wal> wal_ = std::make_unique<Wal>();
   uint64_t next_seqno_ = 1;
   // Bounded changelog ring behind ScanDelta (newest at the back).
   // `changelog_evicted_through_` is the highest seqno dropped off the front;

@@ -146,26 +146,6 @@ TEST_F(FaultInjectionTest, KeyedDecisionsAreStableUnderConcurrency) {
   for (const auto& got : per_thread) EXPECT_EQ(got, baseline);
 }
 
-TEST_F(FaultInjectionTest, ArmFromStringGrammar) {
-  auto armed = FaultInjector::Default().ArmFromString(
-      "seed=42; fi.s1=prob:0.01:parse_error, fi.s2=nth:100; "
-      "fi.s3=every:5:timed_out:delay=10:max_fires=3; fi.s4=delay:50");
-  ASSERT_TRUE(armed.ok()) << armed.status().ToString();
-  EXPECT_EQ(*armed, 4);
-  EXPECT_EQ(FaultInjector::Default().seed(), 42u);
-  EXPECT_TRUE(FaultInjector::Default().GetStats("fi.s1").armed);
-  EXPECT_TRUE(FaultInjector::Default().GetStats("fi.s4").armed);
-
-  // The injected code comes through the named trigger.
-  for (int i = 0; i < 99; ++i) EXPECT_TRUE(IDEA_FAULT_HIT("fi.s2").ok());
-  EXPECT_EQ(IDEA_FAULT_HIT("fi.s2").code(), StatusCode::kInternal);
-
-  EXPECT_FALSE(FaultInjector::Default().ArmFromString("garbage").ok());
-  EXPECT_FALSE(FaultInjector::Default().ArmFromString("p=prob:2.0").ok());
-  EXPECT_FALSE(FaultInjector::Default().ArmFromString("p=nth").ok());
-  EXPECT_FALSE(FaultInjector::Default().ArmFromString("p=always:bogus_code").ok());
-}
-
 TEST_F(FaultInjectionTest, DisarmAndRearmResetCounters) {
   FaultInjector::Default().Arm("fi.rearm", FaultSpec::Always());
   (void)IDEA_FAULT_HIT("fi.rearm");

@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "feed/active_feed_manager.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "sqlpp/parser.h"
 #include "workload/usecases.h"
 
@@ -263,6 +264,9 @@ TEST_F(FeedFaultTest, IntakeReadFailuresFollowTheFeedPolicy) {
 TEST_F(FeedFaultTest, StorageFaultsFollowTheSkipPolicy) {
   PipelineEnv env;
   FaultInjector::Default().Arm("storage.apply", FaultSpec::Nth(5));
+  obs::Counter* ingested_series =
+      obs::MetricsRegistry::Default().GetCounter("idea.feed.F.records_ingested");
+  const uint64_t ingested_before = ingested_series->value();
 
   ActiveFeedManager::StartArgs args;
   args.config.name = "F";
@@ -278,6 +282,8 @@ TEST_F(FeedFaultTest, StorageFaultsFollowTheSkipPolicy) {
   EXPECT_EQ(stats->records_ingested, 199u);
   EXPECT_EQ(stats->records_skipped, 1u);
   EXPECT_EQ(env.catalog.FindDataset("Tweets")->LiveRecordCount(), 199u);
+  // The registry series counts committed records too, not shipped ones.
+  EXPECT_EQ(ingested_series->value() - ingested_before, 199u);
 }
 
 TEST_F(FeedFaultTest, StorageRetriesRecoverTransientApplyFaults) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <thread>
 
+#include "common/fault_injection.h"
 #include "idea.h"
 #include "workload/native_udfs.h"
 #include "workload/reference_data.h"
@@ -237,6 +240,92 @@ TEST(InstanceTest, CreateFeedRejectsMalformedNumbers) {
       "retry-backoff-us": "0", "dlq-capacity": "1", "routing-slack": "0",
       "max-failovers": "0"};)")
                   .ok());
+}
+
+TEST(InstanceTest, CreateFeedStringKeysTakeEffect) {
+  Instance db(SmallCluster());
+  ASSERT_TRUE(db.ExecuteScript(workload::TweetDdl()).ok());
+  auto tweets = [](uint64_t seed, int n) {
+    auto records = std::make_shared<std::vector<std::string>>();
+    workload::TweetGenerator gen({.seed = seed, .country_domain = 10});
+    for (int i = 0; i < n; ++i) records->push_back(gen.NextJson());
+    return records;
+  };
+  auto run = [&](const std::string& feed, feed::AdapterFactory factory) {
+    EXPECT_TRUE(db.SetFeedAdapterFactory(feed, std::move(factory)).ok());
+    EXPECT_TRUE(db.ExecuteSqlpp("START FEED " + feed + ";").ok());
+    return db.WaitForFeed(feed);
+  };
+
+  // on-error: an unknown policy is rejected at CREATE ...
+  auto bad = db.ExecuteSqlpp(
+      R"(CREATE FEED BadPolicy WITH {"type-name": "TweetType", "on-error": "ignore"};)");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  // ... and "dead-letter" parks a malformed record instead of failing.
+  ASSERT_TRUE(db.ExecuteScript(R"(
+    CREATE FEED DlqFeed WITH {"type-name": "TweetType", "on-error": "dead-letter"};
+    CONNECT FEED DlqFeed TO DATASET Tweets;
+  )").ok());
+  auto with_junk = tweets(21, 20);
+  with_junk->push_back("{\"id\": ");
+  auto dlq_stats = run("DlqFeed", feed::MakeVectorAdapterFactory(with_junk));
+  ASSERT_TRUE(dlq_stats.ok()) << dlq_stats.status().ToString();
+  EXPECT_EQ(dlq_stats->records_ingested, 20u);
+  auto letters = db.DrainDeadLetters("DlqFeed");
+  ASSERT_TRUE(letters.ok()) << letters.status().ToString();
+  ASSERT_EQ(letters->size(), 1u);
+  EXPECT_EQ((*letters)[0].stage, "parse");
+
+  // post-mortem-dir: a feed that aborts writes its post-mortem there.
+  const std::string dir = ::testing::TempDir() + "/idea_instance_postmortem";
+  ASSERT_TRUE(db.ExecuteScript(R"(
+    CREATE FEED DoomedFeed WITH {"type-name": "TweetType", "post-mortem-dir": ")" + dir +
+                               R"("};
+    CONNECT FEED DoomedFeed TO DATASET EnrichedTweets;
+  )").ok());
+  common::FaultInjector::Default().Arm("storage.apply", common::FaultSpec::Always());
+  auto doomed = run("DoomedFeed", feed::MakeVectorAdapterFactory(tweets(22, 20)));
+  common::FaultInjector::Default().DisarmAll();
+  ASSERT_FALSE(doomed.ok());
+  const std::string path = dir + "/DoomedFeed.postmortem.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path;
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  auto postmortem = adm::ParseJson(line);
+  ASSERT_TRUE(postmortem.ok()) << postmortem.status().ToString();
+  EXPECT_EQ(postmortem->GetField("type")->AsString(), "postmortem");
+  EXPECT_EQ(postmortem->GetField("feed")->AsString(), "DoomedFeed");
+  std::remove(path.c_str());
+
+  // balanced-intake: every node runs an intake adapter.
+  ASSERT_TRUE(db.ExecuteScript(R"(
+    CREATE DATASET BalancedTweets(TweetType) PRIMARY KEY id;
+    CREATE FEED BalancedFeed WITH {"type-name": "TweetType", "balanced-intake": "true"};
+    CONNECT FEED BalancedFeed TO DATASET BalancedTweets;
+  )").ok());
+  std::vector<size_t> intake_counts;
+  feed::AdapterFactory vector_factory = feed::MakeVectorAdapterFactory(tweets(23, 40));
+  auto balanced = run("BalancedFeed", [&](size_t index, size_t count) {
+    intake_counts.push_back(count);
+    return vector_factory(index, count);
+  });
+  ASSERT_TRUE(balanced.ok()) << balanced.status().ToString();
+  EXPECT_EQ(intake_counts, std::vector<size_t>(2, 2));
+  EXPECT_EQ(balanced->records_ingested, 40u);
+
+  // ha-failover: the feed plans around a node failed before it starts.
+  ASSERT_TRUE(db.ExecuteScript(R"(
+    CREATE DATASET HaTweets(TweetType) PRIMARY KEY id;
+    CREATE FEED HaFeed WITH {"type-name": "TweetType", "ha-failover": "true"};
+    CONNECT FEED HaFeed TO DATASET HaTweets;
+  )").ok());
+  ASSERT_TRUE(db.cluster().FailNode(1).ok());
+  auto ha = run("HaFeed", feed::MakeVectorAdapterFactory(tweets(24, 40)));
+  ASSERT_TRUE(ha.ok()) << ha.status().ToString();
+  EXPECT_EQ(ha->records_ingested, 40u);
+  EXPECT_EQ((*db.ExecuteSqlpp("SELECT VALUE count(t) FROM HaTweets t;"))[0].AsInt(), 40);
 }
 
 TEST(InstanceTest, FeedWithAttachedUdfViaSqlpp) {

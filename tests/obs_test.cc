@@ -2,7 +2,6 @@
 // the batch tracer, and the JSON snapshot exporter.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,7 +12,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/snapshot.h"
-#include "obs/timeseries.h"
 #include "obs/tracer.h"
 
 namespace idea::obs {
@@ -284,89 +282,6 @@ TEST(FlightRecorderTest, ConcurrentRecordersKeepCapacityBound) {
   std::vector<FlightEvent> events = recorder.Recent();
   EXPECT_LE(events.size(), 64u);
   EXPECT_GE(events.size(), 1u);
-}
-
-TEST(TimeSeriesTest, SampleOnceDerivesCounterRates) {
-  MetricsRegistry reg;
-  TimeSeriesOptions options;
-  options.capacity = 3;
-  options.prefixes = {"idea.feed."};
-  TimeSeriesSampler sampler(&reg, options);
-
-  Counter* records = reg.GetCounter("idea.feed.F.records_ingested");
-  reg.GetGauge("idea.feed.F.depth")->Set(4);
-  reg.GetHistogram("idea.feed.F.wait_us")->Record(100);
-  reg.GetCounter("idea.other.ignored")->Increment();  // prefix-filtered out
-
-  records->Add(100);
-  sampler.SampleOnce(1'000'000);
-  records->Add(300);
-  sampler.SampleOnce(2'000'000);  // +300 in 1s -> 300/s
-
-  std::vector<TimeSeriesPoint> series =
-      sampler.Series("idea.feed.F.records_ingested");
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series[0].value, 100);
-  EXPECT_DOUBLE_EQ(series[0].rate_per_s, 0);  // no previous sample
-  EXPECT_DOUBLE_EQ(series[1].value, 400);
-  EXPECT_DOUBLE_EQ(series[1].rate_per_s, 300);
-
-  EXPECT_EQ(sampler.Series("idea.other.ignored").size(), 0u);
-  ASSERT_EQ(sampler.Series("idea.feed.F.depth").size(), 2u);
-  EXPECT_DOUBLE_EQ(sampler.Series("idea.feed.F.depth")[0].value, 4);
-  ASSERT_EQ(sampler.Series("idea.feed.F.wait_us").size(), 2u);
-  EXPECT_GT(sampler.Series("idea.feed.F.wait_us")[0].value, 0);  // p95
-
-  // The ring stays bounded at `capacity`, keeping the newest points.
-  sampler.SampleOnce(3'000'000);
-  sampler.SampleOnce(4'000'000);
-  series = sampler.Series("idea.feed.F.records_ingested");
-  ASSERT_EQ(series.size(), 3u);
-  EXPECT_DOUBLE_EQ(series[0].ts_us, 2'000'000);
-  EXPECT_EQ(sampler.samples_taken(), 4u);
-}
-
-TEST(TimeSeriesTest, ToJsonParsesAndCarriesSeries) {
-  MetricsRegistry reg;
-  TimeSeriesOptions options;
-  options.prefixes = {};  // track everything
-  TimeSeriesSampler sampler(&reg, options);
-  reg.GetCounter("c")->Add(5);
-  reg.GetGauge("g")->Set(-2);
-  sampler.SampleOnce(1000);
-
-  auto parsed = adm::ParseJson(sampler.ToJson());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->GetField("type")->AsString(), "timeseries");
-  EXPECT_EQ(parsed->GetField("samples")->AsInt(), 1);
-  const adm::Value* series = parsed->GetField("series");
-  ASSERT_NE(series, nullptr);
-  const adm::Value* c = series->GetField("c");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->GetField("kind")->AsString(), "counter");
-  ASSERT_EQ(c->GetField("points")->AsArray().size(), 1u);
-  EXPECT_DOUBLE_EQ(c->GetField("points")->AsArray()[0].GetField("value")->AsNumber(), 5);
-  const adm::Value* g = series->GetField("g");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->GetField("kind")->AsString(), "gauge");
-  EXPECT_DOUBLE_EQ(g->GetField("points")->AsArray()[0].GetField("value")->AsNumber(), -2);
-}
-
-TEST(TimeSeriesTest, BackgroundThreadSamplesPeriodically) {
-  MetricsRegistry reg;
-  reg.GetCounter("idea.feed.F.records_ingested")->Add(1);
-  TimeSeriesOptions options;
-  options.period_us = 2000;  // 2ms for a fast test
-  TimeSeriesSampler sampler(&reg, options);
-  ASSERT_TRUE(sampler.Start().ok());
-  ASSERT_TRUE(sampler.Start().ok());  // idempotent
-  for (int i = 0; i < 200 && sampler.samples_taken() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  sampler.Stop();
-  sampler.Stop();  // idempotent
-  EXPECT_GE(sampler.samples_taken(), 3u);
-  EXPECT_GE(sampler.Series("idea.feed.F.records_ingested").size(), 3u);
 }
 
 TEST(SnapshotTest, PrometheusTextExposition) {

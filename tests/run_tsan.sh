@@ -3,8 +3,8 @@
 # binaries (runtime frames, frame views and partition holders, the
 # worker-pool scheduler, the three-job feed pipeline, the fault-injection
 # machinery and feed failure policies, node death and failover, the
-# observability primitives, the admin server / sampler / flight-recorder
-# telemetry plane, the LSM dataset's batched writers against its readers,
+# observability primitives, the admin server / flight-recorder telemetry
+# plane, the LSM dataset's batched writers against its readers,
 # the batch/per-record evaluation equivalence suite, and the SQL++ facade's
 # feed START/STOP with an update client running against an enriching feed).
 # Usage:
