@@ -2,7 +2,6 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cstdio>
 
 #include "adm/json.h"
@@ -74,13 +73,15 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
                                                feed->dlq.get());
   if (feed->config.ha_failover) {
     // Durable-frame hook: a frame's WAL group-commit retires it against its
-    // intake lease. Installed before Start so no drain loop ever races the
-    // assignment. The intake job outlives the storage job (member order), so
-    // the raw capture is safe.
+    // intake lease, and the ledger says how many records count as stored
+    // (each once, also across redelivery). Installed before Start so no
+    // drain loop ever races the assignment. The intake job outlives the
+    // storage job (member order), so the raw capture is safe.
     IntakeJob* intake_raw = feed->intake.get();
-    feed->storage->set_frame_ack([intake_raw](size_t partition, uint64_t lease) {
-      intake_raw->AckFrame(partition, lease);
-    });
+    feed->storage->set_frame_ack(
+        [intake_raw](size_t partition, uint64_t lease, uint64_t stored) {
+          return intake_raw->AckFrame(partition, lease, stored);
+        });
   }
   IDEA_RETURN_NOT_OK(feed->storage->Start(placement));
   IDEA_RETURN_NOT_OK(feed->intake->Start(args.adapter_factory, args.config,
@@ -160,7 +161,6 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
             obs::NowMicros() - feed->recovering_since_us;
         feed->recovering_since_us = 0;
       }
-      feed->stats.records_ingested += inv->records_out;
       feed->stats.parse_errors += inv->parse_errors;
       feed->stats.validation_errors += inv->validation_errors;
       feed->stats.records_skipped += inv->records_skipped;
@@ -194,20 +194,14 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
   feed->final_status.Set(feed->storage->first_error());
   feed->final_status.Set(feed->intake->first_error());
   {
-    // Intake- and storage-side policy outcomes are visible only to their
-    // jobs; fold them into the feed summary with the computing-side
-    // counters. Records the storage job rejected were counted ingested when
-    // the computing job shipped them — take them back out so
-    // records_ingested means "stored".
-    const uint64_t storage_rejects =
-        feed->storage->records_skipped() + feed->storage->dead_letters();
+    // Intake- and storage-side outcomes are visible only to their jobs;
+    // fold them into the feed summary with the computing-side counters.
     std::lock_guard<std::mutex> lock(mu_);
+    feed->stats.records_ingested = feed->storage->records_stored();
     feed->stats.records_skipped +=
         feed->intake->records_skipped() + feed->storage->records_skipped();
     feed->stats.dead_letters += feed->intake->dead_letters() + feed->storage->dead_letters();
     feed->stats.retries += feed->storage->retries();
-    feed->stats.records_ingested -=
-        std::min(feed->stats.records_ingested, storage_rejects);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -362,7 +356,9 @@ Result<FeedRuntimeStats> ActiveFeedManager::GetStats(const std::string& feed_nam
   if (it == feeds_.end()) {
     return Status::NotFound("feed '" + feed_name + "' is not active");
   }
-  return it->second->stats;
+  FeedRuntimeStats stats = it->second->stats;
+  stats.records_ingested = it->second->storage->records_stored();
+  return stats;
 }
 
 std::vector<std::string> ActiveFeedManager::ActiveFeeds() const {

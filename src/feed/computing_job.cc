@@ -343,24 +343,25 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
         }
         records_out.fetch_add(enriched.size(), std::memory_order_relaxed);
         // Feed pipeline sink: ship frames to the storage job. Frames are
-        // stamped with the pull lease; the lease closes with the shipped
-        // count so the ledger knows when every frame has been acked durable.
-        // If the node dies mid-ship the lease stays open and the whole batch
-        // redelivers (duplicates are PK-idempotent at the LSM).
+        // stamped with the pull lease, which closes at the frame count
+        // before the first frame ships, so the ledger knows when every frame
+        // has been acked durable. If the node dies mid-ship the lease is
+        // never fully acked and the whole batch redelivers (duplicates are
+        // PK-idempotent at the LSM).
         IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("compute.ship"));
         IDEA_RETURN_NOT_OK(cluster->CheckAlive(node));
         t0 = obs::NowMicros();
         cpu_timer.Start();
-        size_t frames_shipped = 0;
-        for (auto& frame : runtime::FrameRecords(enriched, config.frame_bytes)) {
+        std::vector<runtime::Frame> frames =
+            runtime::FrameRecords(enriched, config.frame_bytes);
+        if (lease != 0) intake->CloseLease(lease, frames.size());
+        for (auto& frame : frames) {
           frame.set_trace_id(trace_id);
           frame.set_lease_id(lease);
           frame.set_origin_partition(p);
           ship_bytes.fetch_add(frame.byte_size(), std::memory_order_relaxed);
           IDEA_RETURN_NOT_OK(storage_holder->Push(std::move(frame)));
-          ++frames_shipped;
         }
-        if (lease != 0) intake->CloseLease(lease, frames_shipped);
         cpu.ship = cpu_timer.ElapsedMicros();
         span("compute.ship", t0);
         return Status::OK();

@@ -86,7 +86,7 @@ using AdapterFactory = std::function<Result<std::unique_ptr<FeedAdapter>>(
 
 /// Cumulative counters for a running/finished feed.
 struct FeedRuntimeStats {
-  uint64_t records_ingested = 0;   // records that reached storage
+  uint64_t records_ingested = 0;   // records committed, each once
   uint64_t parse_errors = 0;       // lexer/shape failures (ParseError)
   uint64_t validation_errors = 0;  // datatype validation/coercion rejects
   uint64_t records_skipped = 0;    // dropped by the `skip` policy

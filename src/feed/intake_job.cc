@@ -123,9 +123,9 @@ size_t IntakeJob::RedeliverUnackedAll() {
   return total;
 }
 
-void IntakeJob::AckFrame(size_t partition, uint64_t lease) {
-  if (partition >= holders_.size()) return;
-  holders_[partition]->AckFrame(lease);
+uint64_t IntakeJob::AckFrame(size_t partition, uint64_t lease, uint64_t stored) {
+  if (partition >= holders_.size()) return 0;
+  return holders_[partition]->AckFrame(lease, stored);
 }
 
 void IntakeJob::StopAdapters() {

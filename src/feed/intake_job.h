@@ -76,8 +76,9 @@ class IntakeJob {
   size_t RedeliverUnackedAll();
 
   /// Acks one durably-stored frame of `lease` against partition `p` (wired
-  /// to the storage job's post-group-commit hook).
-  void AckFrame(size_t partition, uint64_t lease);
+  /// to the storage job's post-group-commit hook). Returns the records that
+  /// now count as stored (IntakePartitionHolder::AckFrame).
+  uint64_t AckFrame(size_t partition, uint64_t lease, uint64_t stored);
 
   /// Partition `p`'s holder. The holders are made in Start and never
   /// replaced.

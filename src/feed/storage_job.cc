@@ -181,13 +181,15 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
                            obs::Span{"storage.flush", static_cast<int>(p), t2,
                                      obs::NowMicros() - t2});
             IDEA_RETURN_NOT_OK(flushed);
-            // Durable: count the records committed to the dataset, and
-            // retire this frame against its intake lease so the
-            // at-least-once ledger stops tracking it.
-            records_ingested_->Add(n - rejected);
+            // Durable: count the records committed to the dataset. A leased
+            // frame is retired against its intake lease first, and the
+            // at-least-once ledger says how many records count now.
+            uint64_t stored = n - rejected;
             if (ack_fn_ && frame.lease_id() != 0) {
-              ack_fn_(frame.origin_partition(), frame.lease_id());
+              stored = ack_fn_(frame.origin_partition(), frame.lease_id(), stored);
             }
+            stored_.fetch_add(stored, std::memory_order_relaxed);
+            records_ingested_->Add(stored);
             return Status::OK();
           };
           Status stored = store();

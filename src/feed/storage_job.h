@@ -10,7 +10,8 @@
 // surviving node (RelocatePartition — the old holder is poisoned, a fresh
 // holder plus drain task start on the target). Frames carry
 // (origin_partition, lease_id); after a frame's WAL group-commit the ack hook
-// reports it durable so the intake ledger can retire the lease.
+// reports it durable so the intake ledger can retire the lease, and the
+// ledger answers how many records now count as stored.
 //
 // After Start, only the feed's invocation loop calls holder(),
 // RelocatePartition(), Close() and Abort(), so the holder table needs no
@@ -38,8 +39,10 @@ class Histogram;
 
 namespace idea::feed {
 
-/// Called once per durably committed frame: (origin intake partition, lease).
-using FrameAckFn = std::function<void(size_t, uint64_t)>;
+/// Called once per durably committed frame with (origin intake partition,
+/// lease, records the frame stored); returns the records that now count as
+/// stored.
+using FrameAckFn = std::function<uint64_t(size_t, uint64_t, uint64_t)>;
 
 class StorageJob {
  public:
@@ -74,6 +77,11 @@ class StorageJob {
 
   void Join();
 
+  /// Records committed to the dataset, each input record once: an HA frame's
+  /// records count when its whole intake lease is durable, so a redelivered
+  /// record counts only from the copy that completes its lease. Also added
+  /// to the idea.feed.<f>.records_ingested series.
+  uint64_t records_stored() const { return stored_.load(std::memory_order_relaxed); }
   /// Records dropped by the `skip` policy after write retries were exhausted.
   uint64_t records_skipped() const { return skipped_.load(std::memory_order_relaxed); }
   /// Records parked in the DLQ after write retries were exhausted.
@@ -102,6 +110,7 @@ class StorageJob {
   FrameAckFn ack_fn_;
   std::vector<std::shared_ptr<runtime::StoragePartitionHolder>> holders_;
   runtime::TaskGroup drain_tasks_;
+  std::atomic<uint64_t> stored_{0};
   std::atomic<uint64_t> skipped_{0};
   std::atomic<uint64_t> dead_letters_{0};
   std::atomic<uint64_t> retries_{0};

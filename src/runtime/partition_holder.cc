@@ -135,30 +135,29 @@ bool IntakePartitionHolder::PullBatch(size_t max_records, std::vector<std::strin
   return true;
 }
 
-void IntakePartitionHolder::CloseLease(uint64_t lease, size_t frames_shipped) {
+void IntakePartitionHolder::CloseLease(uint64_t lease, size_t frames) {
   if (lease == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = inflight_.find(lease);
   if (it == inflight_.end()) return;
-  if (frames_shipped == 0) {
-    // Nothing shipped (all records rejected/skipped): nothing to redeliver.
+  if (frames == 0) {
+    // Nothing ships (all records rejected/skipped): nothing to redeliver.
     inflight_.erase(it);
     return;
   }
-  it->second.closed = true;
-  it->second.expected_frames = frames_shipped;
-  if (it->second.acked_frames >= it->second.expected_frames) inflight_.erase(it);
+  it->second.expected_frames = frames;
 }
 
-void IntakePartitionHolder::AckFrame(uint64_t lease) {
-  if (lease == 0) return;
+uint64_t IntakePartitionHolder::AckFrame(uint64_t lease, uint64_t stored) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = inflight_.find(lease);
-  if (it == inflight_.end()) return;  // late ack after a redelivery round
-  ++it->second.acked_frames;
-  if (it->second.closed && it->second.acked_frames >= it->second.expected_frames) {
-    inflight_.erase(it);
-  }
+  if (it == inflight_.end()) return 0;  // late ack after a redelivery round
+  LeaseEntry& entry = it->second;
+  entry.stored += stored;
+  if (++entry.acked_frames < entry.expected_frames) return 0;
+  stored = entry.stored;
+  inflight_.erase(it);
+  return stored;
 }
 
 size_t IntakePartitionHolder::RedeliverUnacked() {

@@ -14,13 +14,16 @@
 //
 // HA additions (Grover & Carey at-least-once feeds): the intake holder keeps
 // a *lease ledger* of pulled-but-unacked batches. A computing invocation
-// pulls under a lease, ships N frames, and closes the lease; the storage job
-// acks each frame after its WAL group-commit. If the computing or storage
-// node dies in between, RedeliverUnacked() re-queues the leased records at
-// the front of the queue — duplicates are harmless because storage upserts
-// are PK-idempotent. A holder is process memory, so an intake holder lives
-// as long as its feed and never moves: failover re-points where a
-// partition's tasks run, not where its records wait.
+// pulls under a lease, closes the lease at the N frames the batch makes, and
+// ships them; the storage job acks each frame after its WAL group-commit. If
+// the computing or storage node dies in between, RedeliverUnacked() re-queues
+// the leased records at the front of the queue — duplicates are harmless
+// because storage upserts are PK-idempotent. The ledger also decides when a
+// batch's stored records count: once, when its last frame is acked, so a
+// redelivered batch is counted from the copy that completes. A holder is
+// process memory, so an intake holder lives as long as its feed and never
+// moves: failover re-points where a partition's tasks run, not where its
+// records wait.
 #pragma once
 
 #include <atomic>
@@ -129,13 +132,16 @@ class IntakePartitionHolder {
   bool PullBatch(size_t max_records, std::vector<std::string>* out,
                  uint64_t* lease_out = nullptr);
 
-  /// Declares how many frames the leased batch produced (0 acks the lease
-  /// immediately: nothing shipped means nothing to redeliver).
-  void CloseLease(uint64_t lease, size_t frames_shipped);
-  /// Acks one durably-stored frame of `lease`; the ledger entry is dropped
-  /// once closed and fully acked. Unknown leases are ignored (late acks
-  /// after a redelivery round).
-  void AckFrame(uint64_t lease);
+  /// Declares how many frames the leased batch ships. Call it before the
+  /// first frame ships, so the lease retires on its last frame's ack.
+  /// 0 retires the lease at once: nothing shipped means nothing to redeliver.
+  void CloseLease(uint64_t lease, size_t frames);
+  /// Acks one durably-stored frame of `lease` that stored `stored` records.
+  /// Returns the records that now count as stored: the whole batch's, when
+  /// this ack retires a closed, fully acked lease; 0 otherwise. An unknown
+  /// lease (a late ack after a redelivery round) counts nothing, since the
+  /// re-queued copy is stored again and counted then.
+  uint64_t AckFrame(uint64_t lease, uint64_t stored);
   /// Re-queues every unacked leased batch at the FRONT of the queue (lease
   /// order, so redelivery preserves original intake order) and clears the
   /// ledger. Returns the number of records re-queued.
@@ -152,9 +158,9 @@ class IntakePartitionHolder {
  private:
   struct LeaseEntry {
     std::vector<std::string> records;
-    size_t expected_frames = 0;
+    size_t expected_frames = 0;  // set by CloseLease, before any ack
     size_t acked_frames = 0;
-    bool closed = false;
+    uint64_t stored = 0;  // records the acked frames stored
   };
 
   void SetDepthLocked(size_t depth);

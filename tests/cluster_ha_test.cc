@@ -99,15 +99,16 @@ TEST_F(ClusterHaTest, LeaseLedgerRetiresFullyAckedBatches) {
   EXPECT_EQ(lease, 1u);
   EXPECT_EQ(holder.UnackedForTest(), 2u);
 
-  holder.CloseLease(lease, 2);  // the batch shipped as two frames
+  holder.CloseLease(lease, 2);  // the batch ships as two frames
   EXPECT_EQ(holder.UnackedForTest(), 2u);
-  holder.AckFrame(lease);
+  // The batch's stored records count once, when its last frame is acked.
+  EXPECT_EQ(holder.AckFrame(lease, 1), 0u);
   EXPECT_EQ(holder.UnackedForTest(), 2u);  // one frame still in flight
-  holder.AckFrame(lease);
+  EXPECT_EQ(holder.AckFrame(lease, 1), 2u);
   EXPECT_EQ(holder.UnackedForTest(), 0u);  // durable: ledger entry retired
-  // Late/unknown acks are ignored.
-  holder.AckFrame(lease);
-  holder.AckFrame(999);
+  // Late/unknown acks are ignored and count nothing.
+  EXPECT_EQ(holder.AckFrame(lease, 1), 0u);
+  EXPECT_EQ(holder.AckFrame(999, 1), 0u);
 
   // A batch that shipped zero frames has nothing to redeliver.
   ASSERT_TRUE(holder.PullBatch(2, &out, &lease));
@@ -130,10 +131,16 @@ TEST_F(ClusterHaTest, RedeliveryRequeuesUnackedRecordsInOriginalOrder) {
   EXPECT_EQ(lease_b, 2u);
   EXPECT_EQ(holder.UnackedForTest(), 4u);
 
-  // Neither batch acked: the node died. Redelivery puts both back at the
+  // Batch a ships as two frames and one of them is stored; batch b is not
+  // stored at all. Then the node dies. Redelivery puts both back at the
   // front, oldest lease first, so the queue reads r0 r1 r2 r3 r4 r5 again.
+  holder.CloseLease(lease_a, 2);
+  EXPECT_EQ(holder.AckFrame(lease_a, 1), 0u);
   EXPECT_EQ(holder.RedeliverUnacked(), 4u);
   EXPECT_EQ(holder.UnackedForTest(), 0u);
+  // Batch a's records count when the re-queued copy is stored: the frame
+  // stored before the death counted nothing, and a late ack counts nothing.
+  EXPECT_EQ(holder.AckFrame(lease_a, 1), 0u);
   std::vector<std::string> all;
   std::vector<std::string> batch;
   while (holder.PullBatch(8, &batch)) {
@@ -221,6 +228,9 @@ struct SoakEnv {
     EXPECT_TRUE(catalog.CreateDataset("D", "T", "id").ok());
   }
 
+  /// The finished feed's summary, set by RunFeed.
+  feed::FeedRuntimeStats stats;
+
   /// Runs one HA feed over `records` and returns the dataset's serialized
   /// contents (scan order is PK order, so equal vectors = identical stores).
   Result<std::vector<std::string>> RunFeed(
@@ -234,7 +244,7 @@ struct SoakEnv {
     args.connection.dataset = "D";
     args.adapter_factory = feed::MakeVectorAdapterFactory(records);
     IDEA_RETURN_NOT_OK(afm->StartFeed(std::move(args)));
-    IDEA_RETURN_NOT_OK(afm->WaitForFeed("Soak"));
+    IDEA_ASSIGN_OR_RETURN(stats, afm->WaitForFeedStats("Soak"));
     std::vector<std::string> out;
     auto snapshot = catalog.FindDataset("D")->Scan();
     for (const adm::Value& v : *snapshot) out.push_back(v.ToString());
@@ -266,11 +276,15 @@ TEST_F(ClusterHaTest, KillANodeSoakLeavesContentsBitIdentical) {
   // Chaos rounds: each arms node.kill at a randomized liveness-probe hit, so
   // the victim node and the pipeline stage it dies in vary per round. The
   // feed must fail over and converge to the exact same contents.
+  obs::Counter* ingested_series =
+      obs::MetricsRegistry::Default().GetCounter("idea.feed.Soak.records_ingested");
+  uint64_t redelivered = 0;
   Rng rng(0xC1A05u);
   for (int round = 0; round < 5; ++round) {
     const uint64_t kill_at = 1 + rng.NextBelow(24);
     FaultInjector::Default().Reseed(1000 + round);
     FaultInjector::Default().Arm("node.kill", FaultSpec::Nth(kill_at));
+    const uint64_t ingested_before = ingested_series->value();
     SoakEnv env;
     auto got = env.RunFeed(records);
     FaultInjector::Default().DisarmAll();
@@ -278,7 +292,14 @@ TEST_F(ClusterHaTest, KillANodeSoakLeavesContentsBitIdentical) {
                           << got.status().ToString();
     EXPECT_EQ(*got, reference) << "round " << round << " kill_at=" << kill_at;
     EXPECT_EQ(env.catalog.FindDataset("D")->LiveRecordCount(), 400u);
+    // A redelivered record is stored again but counts once, in the feed's
+    // summary and in its registry series alike.
+    EXPECT_EQ(env.stats.records_ingested, 400u) << "round " << round;
+    EXPECT_EQ(ingested_series->value() - ingested_before, 400u) << "round " << round;
+    redelivered += env.stats.records_redelivered;
   }
+  // The rounds must redeliver something, or the counts above prove nothing.
+  EXPECT_GT(redelivered, 0u);
 }
 
 // ---------------------------------------------------------------------------
