@@ -2,7 +2,9 @@
 
 #include <sys/stat.h>
 
+#include <chrono>
 #include <cstdio>
+#include <thread>
 
 #include "adm/json.h"
 #include "common/virtual_clock.h"
@@ -41,7 +43,7 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
   }
   // Compile the computing job once per node (the paper's predeployed job),
   // then bring up the two long-running jobs.
-  auto feed = std::make_unique<ActiveFeed>();
+  auto feed = std::make_shared<ActiveFeed>();
   feed->config = args.config;
   feed->connection = args.connection;
   IDEA_ASSIGN_OR_RETURN(feed->computing,
@@ -141,38 +143,43 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
     inflight->Add(1);
     auto inv = feed->computing->RunOnce(feed->routes, feed->dlq.get());
     inflight->Add(-1);
-    if (!inv.ok()) {
-      Status st = inv.status();
-      if (feed->config.ha_failover && st.code() == StatusCode::kUnavailable) {
-        // A hosting node is dead: re-plan, redeliver, resume.
-        Status recovered = RecoverFeed(feed);
-        if (recovered.ok()) continue;
-        st = recovered;
+    Status st = inv.status();
+    if (inv.ok()) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (feed->recovering_since_us != 0) {
+          feed->stats.recovery_to_resume_us =
+              obs::NowMicros() - feed->recovering_since_us;
+          feed->recovering_since_us = 0;
+        }
+        feed->stats.parse_errors += inv->parse_errors;
+        feed->stats.validation_errors += inv->validation_errors;
+        feed->stats.records_skipped += inv->records_skipped;
+        feed->stats.dead_letters += inv->dead_letters;
+        feed->stats.retries += inv->retries;
+        if (inv->records_in > 0 || !inv->intake_exhausted) {
+          ++feed->stats.computing_jobs;
+          feed->stats.compute_micros_total += inv->wall_micros;
+        }
       }
-      // First failure stops the adapters; the backlog is drained below so
-      // the intake job can reach EOF.
-      if (feed->final_status.Set(st)) feed->intake->StopAdapters();
-      break;
+      if (inv->records_in > 0 || !inv->intake_exhausted) jobs_metric->Increment();
+      if (!inv->intake_exhausted) continue;
+      // Every record has shipped, but an HA feed's drains may still hold
+      // frames. Close the storage job only once they are durable.
+      if (!feed->config.ha_failover) break;
+      st = AwaitDurable(feed);
+      if (st.ok()) break;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (feed->recovering_since_us != 0) {
-        feed->stats.recovery_to_resume_us =
-            obs::NowMicros() - feed->recovering_since_us;
-        feed->recovering_since_us = 0;
-      }
-      feed->stats.parse_errors += inv->parse_errors;
-      feed->stats.validation_errors += inv->validation_errors;
-      feed->stats.records_skipped += inv->records_skipped;
-      feed->stats.dead_letters += inv->dead_letters;
-      feed->stats.retries += inv->retries;
-      if (inv->records_in > 0 || !inv->intake_exhausted) {
-        ++feed->stats.computing_jobs;
-        feed->stats.compute_micros_total += inv->wall_micros;
-      }
+    if (feed->config.ha_failover && st.code() == StatusCode::kUnavailable) {
+      // A hosting node is dead: re-plan, redeliver, resume.
+      Status recovered = RecoverFeed(feed);
+      if (recovered.ok()) continue;
+      st = recovered;
     }
-    if (inv->records_in > 0 || !inv->intake_exhausted) jobs_metric->Increment();
-    if (inv->intake_exhausted) break;
+    // First failure stops the adapters; the backlog is drained below so
+    // the intake job can reach EOF.
+    if (feed->final_status.Set(st)) feed->intake->StopAdapters();
+    break;
   }
 
   if (feed->final_status.failed()) {
@@ -194,16 +201,6 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
   feed->final_status.Set(feed->storage->first_error());
   feed->final_status.Set(feed->intake->first_error());
   {
-    // Intake- and storage-side outcomes are visible only to their jobs;
-    // fold them into the feed summary with the computing-side counters.
-    std::lock_guard<std::mutex> lock(mu_);
-    feed->stats.records_ingested = feed->storage->records_stored();
-    feed->stats.records_skipped +=
-        feed->intake->records_skipped() + feed->storage->records_skipped();
-    feed->stats.dead_letters += feed->intake->dead_letters() + feed->storage->dead_letters();
-    feed->stats.retries += feed->storage->retries();
-  }
-  {
     std::lock_guard<std::mutex> lock(mu_);
     feed->stats.wall_micros_total = lifetime.ElapsedMicros();
   }
@@ -211,12 +208,27 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
   if (outcome.ok()) {
     obs::FlightRecorder::Default().Record(
         obs::FlightEventKind::kFeedStop, feed->config.name,
-        "records_ingested=" + std::to_string(feed->stats.records_ingested));
+        "records_ingested=" + std::to_string(feed->storage->records_stored()));
   } else {
     obs::FlightRecorder::Default().Record(obs::FlightEventKind::kFeedAbort,
                                           feed->config.name, outcome.ToString());
     if (!feed->config.post_mortem_dir.empty()) WritePostMortem(*feed, outcome);
   }
+}
+
+Status ActiveFeedManager::AwaitDurable(ActiveFeed* feed) {
+  while (feed->intake->Unacked() > 0) {
+    // Reading the flag, not CheckAlive, spends no node.kill probe hit.
+    for (const ComputingJob::Route& route : feed->routes) {
+      if (cluster_->node(route.node).dead()) {
+        return Status::Unavailable("node-" + std::to_string(route.node) +
+                                   " died before its frames were stored");
+      }
+    }
+    IDEA_RETURN_NOT_OK(feed->storage->first_error());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return Status::OK();
 }
 
 Status ActiveFeedManager::RecoverFeed(ActiveFeed* feed) {
@@ -333,32 +345,48 @@ Status ActiveFeedManager::WaitForFeed(const std::string& feed_name) {
   return Status::OK();
 }
 
+FeedRuntimeStats ActiveFeedManager::Summary(const ActiveFeed& feed) {
+  FeedRuntimeStats stats = feed.stats;
+  stats.records_ingested = feed.storage->records_stored();
+  stats.records_skipped += feed.intake->records_skipped() + feed.storage->records_skipped();
+  stats.dead_letters += feed.intake->dead_letters() + feed.storage->dead_letters();
+  stats.retries += feed.storage->retries();
+  return stats;
+}
+
 Result<FeedRuntimeStats> ActiveFeedManager::WaitForFeedStats(
     const std::string& feed_name) {
-  std::unique_ptr<ActiveFeed> feed;
+  std::shared_ptr<ActiveFeed> feed;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = feeds_.find(feed_name);
     if (it == feeds_.end()) {
       return Status::NotFound("feed '" + feed_name + "' is not active");
     }
-    feed = std::move(it->second);
-    feeds_.erase(it);
+    feed = it->second;
   }
   (void)feed->driver.Wait();
+  FeedRuntimeStats stats;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats = Summary(*feed);
+    auto it = feeds_.find(feed_name);
+    if (it != feeds_.end() && it->second == feed) {
+      finished_[feed_name] = stats;
+      feeds_.erase(it);
+    }
+  }
   IDEA_RETURN_NOT_OK(feed->final_status.Get());
-  return feed->stats;
+  return stats;
 }
 
 Result<FeedRuntimeStats> ActiveFeedManager::GetStats(const std::string& feed_name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = feeds_.find(feed_name);
-  if (it == feeds_.end()) {
-    return Status::NotFound("feed '" + feed_name + "' is not active");
-  }
-  FeedRuntimeStats stats = it->second->stats;
-  stats.records_ingested = it->second->storage->records_stored();
-  return stats;
+  if (it != feeds_.end()) return Summary(*it->second);
+  auto done = finished_.find(feed_name);
+  if (done != finished_.end()) return done->second;
+  return Status::NotFound("feed '" + feed_name + "' has not run");
 }
 
 std::vector<std::string> ActiveFeedManager::ActiveFeeds() const {

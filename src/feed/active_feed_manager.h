@@ -58,9 +58,12 @@ class ActiveFeedManager {
   /// Blocks until the feed's pipeline fully drains and stops.
   Status WaitForFeed(const std::string& feed_name);
 
-  /// WaitForFeed + the feed's final lifetime statistics.
+  /// WaitForFeed + the feed's final lifetime statistics. The feed stays
+  /// active until its pipeline has stopped.
   Result<FeedRuntimeStats> WaitForFeedStats(const std::string& feed_name);
 
+  /// An active feed's statistics so far; for a finished feed, the final
+  /// statistics WaitForFeedStats returned (kept until the feed restarts).
   Result<FeedRuntimeStats> GetStats(const std::string& feed_name) const;
   std::vector<std::string> ActiveFeeds() const;
   bool IsActive(const std::string& feed_name) const;
@@ -82,6 +85,8 @@ class ActiveFeedManager {
     runtime::TaskGroup driver;
     /// Shared with dlqs_ so letters survive feed completion.
     std::shared_ptr<DeadLetterQueue> dlq;
+    /// The computing side's counters and the feed's lifetime figures;
+    /// Summary adds what only the intake and storage jobs count.
     FeedRuntimeStats stats;
     common::FirstError final_status;
 
@@ -95,6 +100,11 @@ class ActiveFeedManager {
     double recovering_since_us = 0;
   };
 
+  /// The feed's statistics: `feed.stats` plus the records the storage job
+  /// committed and the skips, dead letters and retries the intake and storage
+  /// jobs counted. Caller holds mu_.
+  static FeedRuntimeStats Summary(const ActiveFeed& feed);
+
   void DriveFeed(ActiveFeed* feed);
   /// Feed failover (Grover & Carey recovery model): re-points every
   /// partition hosted on a dead node to the least-loaded live node, restarts
@@ -102,6 +112,11 @@ class ActiveFeedManager {
   /// when no partition sits on a dead node. Runs on the feed's DriveFeed loop
   /// only.
   Status RecoverFeed(ActiveFeed* feed);
+  /// HA feeds, once the intake is exhausted: waits until every leased batch
+  /// is durable. Unavailable when a node hosting a partition dies first (its
+  /// drain drops the frames it still holds), or the storage job's first
+  /// error.
+  Status AwaitDurable(ActiveFeed* feed);
   /// Pulls leftover intake batches after a failure so adapters blocked on a
   /// full holder can finish and EOF lands.
   void DrainIntakeBacklog(ActiveFeed* feed);
@@ -113,7 +128,11 @@ class ActiveFeedManager {
   storage::Catalog* catalog_;
   UdfRegistry* udfs_;
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<ActiveFeed>> feeds_;
+  /// Shared with a WaitForFeedStats in progress, which removes the feed once
+  /// its pipeline has stopped.
+  std::map<std::string, std::shared_ptr<ActiveFeed>> feeds_;
+  /// Feed name -> the final statistics of its latest finished run.
+  std::map<std::string, FeedRuntimeStats> finished_;
   /// Feed name -> its latest dead-letter queue (kept after the feed stops).
   std::map<std::string, std::shared_ptr<DeadLetterQueue>> dlqs_;
 };

@@ -123,6 +123,12 @@ size_t IntakeJob::RedeliverUnackedAll() {
   return total;
 }
 
+size_t IntakeJob::Unacked() const {
+  size_t total = 0;
+  for (const auto& h : holders_) total += h->Unacked();
+  return total;
+}
+
 uint64_t IntakeJob::AckFrame(size_t partition, uint64_t lease, uint64_t stored) {
   if (partition >= holders_.size()) return 0;
   return holders_[partition]->AckFrame(lease, stored);

@@ -74,6 +74,9 @@ class IntakeJob {
   /// Re-queues every unacked leased batch on every partition (post-failover
   /// at-least-once redelivery). Returns records re-queued.
   size_t RedeliverUnackedAll();
+  /// Records pulled under a lease that is not yet durable, over every
+  /// partition.
+  size_t Unacked() const;
 
   /// Acks one durably-stored frame of `lease` against partition `p` (wired
   /// to the storage job's post-group-commit hook). Returns the records that

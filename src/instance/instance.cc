@@ -134,25 +134,10 @@ std::string Instance::FeedsJson() const {
     if (!first) out += ',';
     first = false;
     const bool active = afm_->IsActive(decl.name);
-    // GetStats only answers while the feed is active; finished feeds fall
-    // back to their cumulative registry counters (metrics outlive the feed).
+    // A finished feed's row reads the final statistics WaitForFeed returned.
     feed::FeedRuntimeStats stats;
-    if (active) {
-      Result<feed::FeedRuntimeStats> live = afm_->GetStats(decl.name);
-      if (live.ok()) stats = *live;
-    } else {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-      obs::Scope feed_scope(&reg, "idea.feed." + decl.name);
-      obs::Scope compute_scope(&reg, "idea.compute." + decl.name);
-      stats.records_ingested = feed_scope.Counter("records_ingested")->value();
-      stats.computing_jobs = feed_scope.Counter("computing_jobs")->value();
-      stats.dead_letters = feed_scope.Counter("dlq.enqueued")->value();
-      stats.retries = compute_scope.Counter("retries")->value();
-      stats.parse_errors = compute_scope.Counter("parse_errors")->value();
-      stats.validation_errors =
-          compute_scope.Counter("validation_errors")->value();
-      stats.records_skipped = compute_scope.Counter("records_skipped")->value();
-    }
+    Result<feed::FeedRuntimeStats> got = afm_->GetStats(decl.name);
+    if (got.ok()) stats = *got;
     const int64_t inflight =
         obs::MetricsRegistry::Default()
             .GetGauge("idea.feed." + decl.name + ".inflight_invocations")

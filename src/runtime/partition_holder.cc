@@ -198,7 +198,7 @@ bool IntakePartitionHolder::ExhaustedForTest() const {
   return eof_ && records_.empty();
 }
 
-size_t IntakePartitionHolder::UnackedForTest() const {
+size_t IntakePartitionHolder::Unacked() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
   for (const auto& [lease, entry] : inflight_) n += entry.records.size();

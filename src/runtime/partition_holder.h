@@ -150,7 +150,7 @@ class IntakePartitionHolder {
   /// Lock-free queue-depth hint for congestion-aware routing.
   size_t approx_depth() const { return approx_depth_.load(std::memory_order_relaxed); }
   /// Records currently retained in the redelivery ledger.
-  size_t UnackedForTest() const;
+  size_t Unacked() const;
 
   bool ExhaustedForTest() const;
   HolderStats stats() const;

@@ -39,14 +39,16 @@ const char* AccessPathKindName(AccessPathKind k) {
 /// Concrete per-FROM-item access path; doubles as the evaluator hook.
 ///
 /// Intermediate state (the Model-2 "snapshot" / hash build) is cached across
-/// Initialize() calls. In versioned mode records live in `by_pk`, a map keyed
-/// by the reference dataset's primary key: map nodes have stable addresses,
-/// so hash entries and emitted candidate pointers survive delta upserts and
-/// deletes of *other* keys, and key-ordered iteration reproduces exactly the
-/// record order of a full LSM scan (both sort by adm::Value's total order) —
-/// which is what keeps delta-refreshed results bit-identical to a rebuild.
-/// Unversioned accessors keep the original shared-snapshot representation
-/// and always rebuild.
+/// Initialize() calls. A hash build+probe keeps the reference records grouped
+/// by join key: each group owns its records, in primary-key order when
+/// versioned (a full LSM scan's order) and in snapshot order otherwise. A
+/// probe returns one whole group. A scan keeps, in versioned mode, `by_pk`, a
+/// map keyed by the reference dataset's primary key: key-ordered iteration
+/// reproduces exactly the record order of a full LSM scan (both sort by
+/// adm::Value's total order). Delta-applied state therefore matches a rebuild
+/// record for record, which keeps delta-refreshed results bit-identical.
+/// Unversioned accessors keep the shared snapshot (scans) or snapshot-ordered
+/// groups (hash builds) and always rebuild.
 struct EnrichmentPlan::PathImpl : public FromAccessPath {
   AccessPathKind kind = AccessPathKind::kScan;
   const FromClause* from = nullptr;
@@ -66,19 +68,27 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
   PlanStats* stats = nullptr;
   const PlanConfig* config = nullptr;
 
-  /// One hash-table slot: the build-side key, the owning record, and (in
-  /// versioned mode) its primary key, which orders entries within a bucket so
-  /// delta-applied buckets match the pk-ordered full build.
-  struct HashEntry {
-    Value key;
-    const Value* pk;  // nullptr in unversioned (snapshot) mode
-    const Value* rec;
+  struct KeyHash {
+    size_t operator()(const Value& v) const { return Value::Hash(v); }
   };
+  struct KeyEq {
+    bool operator()(const Value& a, const Value& b) const {
+      return Value::Compare(a, b) == 0;
+    }
+  };
+  using Group = std::vector<Value>;
 
   // Cached intermediate state (survives across Initialize() calls).
-  Snapshot snapshot;             // unversioned mode: shared epoch snapshot
-  std::map<Value, Value> by_pk;  // versioned mode: records keyed by primary key
-  std::unordered_map<uint64_t, std::vector<HashEntry>> hash;
+  Snapshot snapshot;             // scan, unversioned: shared epoch snapshot
+  std::map<Value, Value> by_pk;  // scan, versioned: records keyed by primary key
+  /// Hash build: join key -> the records with that key. Value::Hash plus
+  /// Compare-equality is the `=` conjunct's semantics.
+  std::unordered_map<Value, Group, KeyHash, KeyEq> groups;
+  size_t grouped = 0;  // records in `groups`
+  /// Versioned hash build whose join field is not the primary key: primary
+  /// key -> join key of every grouped record, so a delta finds the group the
+  /// record leaves. A primary-key join needs none: the key is the pk.
+  std::unordered_map<Value, Value, KeyHash, KeyEq> key_of;
   bool versioned = false;
   uint64_t base_seq = DatasetAccessor::kUnversioned;  // state current through
   std::string pk_field;
@@ -145,32 +155,10 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     probe_cache[Value::Hash(key)].push_back(ProbeCacheEntry{key, records});
   }
 
-  void InsertHashEntry(const Value& pk, const Value& rec) {
-    const Value& key = rec.GetFieldOrMissing(ref_field);
-    if (key.IsUnknown()) return;
-    std::vector<HashEntry>& bucket = hash[Value::Hash(key)];
-    auto pos = bucket.begin();
-    while (pos != bucket.end() && Value::Compare(*pos->pk, pk) < 0) ++pos;
-    bucket.insert(pos, HashEntry{key, &pk, &rec});
-  }
-
-  void RemoveHashEntry(const Value& pk, const Value& rec) {
-    const Value& key = rec.GetFieldOrMissing(ref_field);
-    if (key.IsUnknown()) return;
-    auto it = hash.find(Value::Hash(key));
-    if (it == hash.end()) return;
-    std::vector<HashEntry>& bucket = it->second;
-    for (auto e = bucket.begin(); e != bucket.end(); ++e) {
-      if (e->pk != nullptr && Value::Compare(*e->pk, pk) == 0) {
-        bucket.erase(e);
-        break;
-      }
-    }
-    if (bucket.empty()) hash.erase(it);
-  }
-
   Status FullRebuild() {
-    hash.clear();
+    groups.clear();
+    grouped = 0;
+    key_of.clear();
     snapshot.reset();
     by_pk.clear();
     versioned = false;
@@ -178,56 +166,136 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
     IDEA_ASSIGN_OR_RETURN(DatasetAccessor::VersionedSnapshot vs,
                           datasets->GetVersionedSnapshot(dataset));
     pk_field = datasets->PrimaryKeyField(dataset);
-    if (config->enable_delta_refresh && vs.seq != DatasetAccessor::kUnversioned &&
-        !pk_field.empty()) {
-      versioned = true;
-      for (const Value& rec : *vs.snapshot) {
-        const Value* pk = rec.GetField(pk_field);
-        if (pk == nullptr || pk->IsUnknown()) {
-          versioned = false;  // un-keyable record: revert to snapshot mode
-          by_pk.clear();
-          break;
-        }
-        by_pk.emplace(*pk, rec);
-      }
-      if (versioned) base_seq = vs.seq;
-    }
-    if (!versioned) snapshot = std::move(vs.snapshot);
+    const bool track = config->enable_delta_refresh &&
+                       vs.seq != DatasetAccessor::kUnversioned && !pk_field.empty();
     if (kind == AccessPathKind::kHashBuildProbe) {
-      if (versioned) {
-        // pk-ascending iteration appends in bucket order == full-scan order.
-        for (const auto& [pk, rec] : by_pk) InsertHashEntry(pk, rec);
-      } else {
-        for (const Value& rec : *snapshot) {
-          const Value& key = rec.GetFieldOrMissing(ref_field);
-          if (key.IsUnknown()) continue;
-          hash[Value::Hash(key)].push_back(HashEntry{key, nullptr, &rec});
+      versioned = track && AscendByPk(*vs.snapshot);
+      BuildGroups(*vs.snapshot);
+    } else {
+      if (track) {
+        versioned = true;
+        for (const Value& rec : *vs.snapshot) {
+          const Value* pk = rec.GetField(pk_field);
+          if (pk == nullptr || pk->IsUnknown()) {
+            versioned = false;  // un-keyable record: revert to snapshot mode
+            by_pk.clear();
+            break;
+          }
+          by_pk.emplace(*pk, rec);
         }
       }
+      if (!versioned) snapshot = std::move(vs.snapshot);
     }
+    if (versioned) base_seq = vs.seq;
     return Status::OK();
   }
 
-  /// Replays one committed mutation into the cached state. Upserts replace in
-  /// place (map-node address survives, so live hash entries of other records
-  /// stay valid); hash entries of the touched record are re-keyed.
-  void ApplyChange(DatasetChange change) {
-    const bool is_hash = kind == AccessPathKind::kHashBuildProbe;
+  /// True when every record has a known primary key and `recs` ascend by it,
+  /// as a full LSM scan does; each group then ascends by pk too.
+  bool AscendByPk(const std::vector<Value>& recs) const {
+    const Value* prev = nullptr;
+    for (const Value& rec : recs) {
+      const Value* pk = rec.GetField(pk_field);
+      if (pk == nullptr || pk->IsUnknown()) return false;
+      if (prev != nullptr && Value::Compare(*prev, *pk) >= 0) return false;
+      prev = pk;
+    }
+    return true;
+  }
+
+  bool PkJoin() const { return ref_field == pk_field; }
+
+  /// Deep-copies `recs` into their join-key groups, one group after another
+  /// and in snapshot order within a group, so one key's records and their
+  /// field arrays are allocated next to each other.
+  void BuildGroups(const std::vector<Value>& recs) {
+    std::vector<std::pair<Group*, size_t>> members;  // (group, record index)
+    members.reserve(recs.size());
+    for (size_t i = 0; i < recs.size(); ++i) {
+      const Value& key = recs[i].GetFieldOrMissing(ref_field);
+      if (!key.IsUnknown()) members.emplace_back(&groups[key], i);
+    }
+    std::sort(members.begin(), members.end(), [](const auto& a, const auto& b) {
+      if (a.first != b.first) return std::less<Group*>()(a.first, b.first);
+      return a.second < b.second;
+    });
+    const bool index = versioned && !PkJoin();
+    if (index) key_of.reserve(members.size());
+    for (size_t begin = 0, end; begin < members.size(); begin = end) {
+      Group* group = members[begin].first;
+      for (end = begin + 1; end < members.size() && members[end].first == group; ++end) {
+      }
+      group->reserve(end - begin);
+      for (size_t m = begin; m < end; ++m) {
+        const Value& rec = recs[members[m].second];
+        group->push_back(rec);
+        if (index) {
+          key_of.emplace(*rec.GetField(pk_field), rec.GetFieldOrMissing(ref_field));
+        }
+      }
+    }
+    grouped = members.size();
+  }
+
+  /// First record of `group` whose primary key is not below `pk`.
+  Group::iterator PkLowerBound(Group& group, const Value& pk) const {
+    return std::lower_bound(group.begin(), group.end(), pk,
+                            [this](const Value& rec, const Value& k) {
+                              return Value::Compare(*rec.GetField(pk_field), k) < 0;
+                            });
+  }
+
+  /// The join key `pk`'s cached record is grouped under; nullptr when no
+  /// grouped record has that primary key.
+  const Value* GroupKeyOf(const Value& pk) const {
+    if (PkJoin()) return &pk;
+    auto it = key_of.find(pk);
+    return it == key_of.end() ? nullptr : &it->second;
+  }
+
+  /// Replays one committed mutation into the groups: the record leaves the
+  /// group its old version sat in and joins its new key's group at its pk
+  /// position. An upsert that keeps the join key replaces in place.
+  void ApplyGroupChange(DatasetChange change) {
+    const Value& pk = change.key;
+    const Value* new_key =
+        change.tombstone ? nullptr : &change.record.GetFieldOrMissing(ref_field);
+    if (new_key != nullptr && new_key->IsUnknown()) new_key = nullptr;
+    if (const Value* old_key = GroupKeyOf(pk)) {
+      auto g = groups.find(*old_key);
+      if (g != groups.end()) {
+        auto pos = PkLowerBound(g->second, pk);
+        if (pos != g->second.end() && Value::Compare(*pos->GetField(pk_field), pk) == 0) {
+          if (new_key != nullptr && Value::Compare(g->first, *new_key) == 0) {
+            *pos = std::move(change.record);
+            return;
+          }
+          g->second.erase(pos);
+          --grouped;
+          if (g->second.empty()) groups.erase(g);
+        }
+      }
+      if (!PkJoin()) key_of.erase(pk);
+    }
+    if (new_key == nullptr) return;
+    if (!PkJoin()) key_of.emplace(pk, *new_key);
+    Group& group = groups[*new_key];
+    group.insert(PkLowerBound(group, pk), std::move(change.record));
+    ++grouped;
+  }
+
+  /// Replays one committed mutation into a scan's `by_pk`.
+  void ApplyScanChange(DatasetChange change) {
     auto it = by_pk.find(change.key);
     if (change.tombstone) {
       if (it == by_pk.end()) return;  // delete already reflected in the base
-      if (is_hash) RemoveHashEntry(it->first, it->second);
       by_pk.erase(it);
       return;
     }
     if (it != by_pk.end()) {
-      if (is_hash) RemoveHashEntry(it->first, it->second);
       it->second = std::move(change.record);
-      if (is_hash) InsertHashEntry(it->first, it->second);
     } else {
-      auto [nit, inserted] = by_pk.emplace(std::move(change.key), std::move(change.record));
-      (void)inserted;
-      if (is_hash) InsertHashEntry(nit->first, nit->second);
+      by_pk.emplace(std::move(change.key), std::move(change.record));
     }
   }
 
@@ -256,11 +324,19 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
       if (cur != DatasetAccessor::kUnversioned && cur > base_seq) {
         std::vector<DatasetChange> changes;
         Status st = datasets->ScanDelta(dataset, base_seq, cur, &changes);
+        const size_t cached =
+            kind == AccessPathKind::kHashBuildProbe ? grouped : by_pk.size();
         size_t fit = std::max<size_t>(
-            64, static_cast<size_t>(static_cast<double>(by_pk.size()) *
+            64, static_cast<size_t>(static_cast<double>(cached) *
                                     config->max_delta_fraction));
         if (st.ok() && changes.size() <= fit) {
-          for (DatasetChange& c : changes) ApplyChange(std::move(c));
+          for (DatasetChange& c : changes) {
+            if (kind == AccessPathKind::kHashBuildProbe) {
+              ApplyGroupChange(std::move(c));
+            } else {
+              ApplyScanChange(std::move(c));
+            }
+          }
           base_seq = cur;
           stats->delta_records_applied += changes.size();
           return RefreshKind::kDelta;
@@ -303,11 +379,10 @@ struct EnrichmentPlan::PathImpl : public FromAccessPath {
         IDEA_ASSIGN_OR_RETURN(const Value* key,
                               ev->EvalRef(*probe_expr, env, &key_scratch));
         if (key->IsUnknown()) return Status::OK();
-        auto it = hash.find(Value::Hash(*key));
-        if (it == hash.end()) return Status::OK();
-        for (const HashEntry& e : it->second) {
-          if (Value::Compare(e.key, *key) == 0) out->push_back(e.rec);
-        }
+        auto it = groups.find(*key);
+        if (it == groups.end()) return Status::OK();
+        out->reserve(out->size() + it->second.size());
+        for (const Value& rec : it->second) out->push_back(&rec);
         return Status::OK();
       }
       case AccessPathKind::kIndexNestedLoopEq: {

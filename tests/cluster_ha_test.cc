@@ -97,15 +97,15 @@ TEST_F(ClusterHaTest, LeaseLedgerRetiresFullyAckedBatches) {
   ASSERT_TRUE(holder.PullBatch(2, &out, &lease));
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(lease, 1u);
-  EXPECT_EQ(holder.UnackedForTest(), 2u);
+  EXPECT_EQ(holder.Unacked(), 2u);
 
   holder.CloseLease(lease, 2);  // the batch ships as two frames
-  EXPECT_EQ(holder.UnackedForTest(), 2u);
+  EXPECT_EQ(holder.Unacked(), 2u);
   // The batch's stored records count once, when its last frame is acked.
   EXPECT_EQ(holder.AckFrame(lease, 1), 0u);
-  EXPECT_EQ(holder.UnackedForTest(), 2u);  // one frame still in flight
+  EXPECT_EQ(holder.Unacked(), 2u);  // one frame still in flight
   EXPECT_EQ(holder.AckFrame(lease, 1), 2u);
-  EXPECT_EQ(holder.UnackedForTest(), 0u);  // durable: ledger entry retired
+  EXPECT_EQ(holder.Unacked(), 0u);  // durable: ledger entry retired
   // Late/unknown acks are ignored and count nothing.
   EXPECT_EQ(holder.AckFrame(lease, 1), 0u);
   EXPECT_EQ(holder.AckFrame(999, 1), 0u);
@@ -113,7 +113,7 @@ TEST_F(ClusterHaTest, LeaseLedgerRetiresFullyAckedBatches) {
   // A batch that shipped zero frames has nothing to redeliver.
   ASSERT_TRUE(holder.PullBatch(2, &out, &lease));
   holder.CloseLease(lease, 0);
-  EXPECT_EQ(holder.UnackedForTest(), 0u);
+  EXPECT_EQ(holder.Unacked(), 0u);
 }
 
 TEST_F(ClusterHaTest, RedeliveryRequeuesUnackedRecordsInOriginalOrder) {
@@ -129,7 +129,7 @@ TEST_F(ClusterHaTest, RedeliveryRequeuesUnackedRecordsInOriginalOrder) {
   ASSERT_TRUE(holder.PullBatch(2, &second, &lease_b));  // r2 r3
   EXPECT_EQ(lease_a, 1u);
   EXPECT_EQ(lease_b, 2u);
-  EXPECT_EQ(holder.UnackedForTest(), 4u);
+  EXPECT_EQ(holder.Unacked(), 4u);
 
   // Batch a ships as two frames and one of them is stored; batch b is not
   // stored at all. Then the node dies. Redelivery puts both back at the
@@ -137,7 +137,7 @@ TEST_F(ClusterHaTest, RedeliveryRequeuesUnackedRecordsInOriginalOrder) {
   holder.CloseLease(lease_a, 2);
   EXPECT_EQ(holder.AckFrame(lease_a, 1), 0u);
   EXPECT_EQ(holder.RedeliverUnacked(), 4u);
-  EXPECT_EQ(holder.UnackedForTest(), 0u);
+  EXPECT_EQ(holder.Unacked(), 0u);
   // Batch a's records count when the re-queued copy is stored: the frame
   // stored before the death counted nothing, and a late ack counts nothing.
   EXPECT_EQ(holder.AckFrame(lease_a, 1), 0u);
@@ -231,19 +231,27 @@ struct SoakEnv {
   /// The finished feed's summary, set by RunFeed.
   feed::FeedRuntimeStats stats;
 
-  /// Runs one HA feed over `records` and returns the dataset's serialized
-  /// contents (scan order is PK order, so equal vectors = identical stores).
-  Result<std::vector<std::string>> RunFeed(
-      std::shared_ptr<std::vector<std::string>> records) {
+  /// Starts HA feed "Soak" over `records` into dataset D.
+  Status StartFeed(std::shared_ptr<std::vector<std::string>> records,
+                   size_t frame_bytes = feed::FeedConfig().frame_bytes) {
     feed::ActiveFeedManager::StartArgs args;
     args.config.name = "Soak";
     args.config.type_name = "T";
     args.config.batch_size = 48;
+    args.config.frame_bytes = frame_bytes;
     args.config.ha_failover = true;
     args.config.holder_push_deadline_us = 5'000'000;
     args.connection.dataset = "D";
     args.adapter_factory = feed::MakeVectorAdapterFactory(records);
-    IDEA_RETURN_NOT_OK(afm->StartFeed(std::move(args)));
+    return afm->StartFeed(std::move(args));
+  }
+
+  /// Runs the HA feed over `records` and returns the dataset's serialized
+  /// contents (scan order is PK order, so equal vectors = identical stores).
+  Result<std::vector<std::string>> RunFeed(
+      std::shared_ptr<std::vector<std::string>> records,
+      size_t frame_bytes = feed::FeedConfig().frame_bytes) {
+    IDEA_RETURN_NOT_OK(StartFeed(std::move(records), frame_bytes));
     IDEA_ASSIGN_OR_RETURN(stats, afm->WaitForFeedStats("Soak"));
     std::vector<std::string> out;
     auto snapshot = catalog.FindDataset("D")->Scan();
@@ -273,33 +281,73 @@ TEST_F(ClusterHaTest, KillANodeSoakLeavesContentsBitIdentical) {
   }
   ASSERT_EQ(reference.size(), 400u);
 
-  // Chaos rounds: each arms node.kill at a randomized liveness-probe hit, so
-  // the victim node and the pipeline stage it dies in vary per round. The
-  // feed must fail over and converge to the exact same contents.
+  // Chaos rounds: each arms node.kill at one liveness-probe hit, so the
+  // victim node and the pipeline stage it dies in vary per round. The feed
+  // must fail over and converge to the exact same contents.
   obs::Counter* ingested_series =
       obs::MetricsRegistry::Default().GetCounter("idea.feed.Soak.records_ingested");
   uint64_t redelivered = 0;
-  Rng rng(0xC1A05u);
-  for (int round = 0; round < 5; ++round) {
-    const uint64_t kill_at = 1 + rng.NextBelow(24);
-    FaultInjector::Default().Reseed(1000 + round);
+  auto round = [&](uint64_t kill_at, size_t frame_bytes, uint64_t seed) {
+    SCOPED_TRACE("kill_at=" + std::to_string(kill_at) +
+                 " frame_bytes=" + std::to_string(frame_bytes));
+    FaultInjector::Default().Reseed(seed);
     FaultInjector::Default().Arm("node.kill", FaultSpec::Nth(kill_at));
     const uint64_t ingested_before = ingested_series->value();
     SoakEnv env;
-    auto got = env.RunFeed(records);
+    auto got = env.RunFeed(records, frame_bytes);
     FaultInjector::Default().DisarmAll();
-    ASSERT_TRUE(got.ok()) << "round " << round << " kill_at=" << kill_at << ": "
-                          << got.status().ToString();
-    EXPECT_EQ(*got, reference) << "round " << round << " kill_at=" << kill_at;
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, reference);
     EXPECT_EQ(env.catalog.FindDataset("D")->LiveRecordCount(), 400u);
     // A redelivered record is stored again but counts once, in the feed's
     // summary and in its registry series alike.
-    EXPECT_EQ(env.stats.records_ingested, 400u) << "round " << round;
-    EXPECT_EQ(ingested_series->value() - ingested_before, 400u) << "round " << round;
+    EXPECT_EQ(env.stats.records_ingested, 400u);
+    EXPECT_EQ(ingested_series->value() - ingested_before, 400u);
     redelivered += env.stats.records_redelivered;
+  };
+  // Kills among the first probe hits land in the intake and compute stages.
+  Rng rng(0xC1A05u);
+  for (int r = 0; r < 5; ++r) {
+    round(1 + rng.NextBelow(24), feed::FeedConfig().frame_bytes, 1000 + r);
   }
+  // 256-byte frames carry a few records each, so the storage drains probe
+  // once per few records; the late kill points reach the drains' hits,
+  // some of them after the last invocation. Hit ordinals are handed to
+  // threads in blocks, so which late point fires there varies from run to
+  // run: NodeLostWhileDrainsFinishTheBacklogFailsOver pins that case down.
+  for (uint64_t k = 10; k <= 88; k += 2) round(k, 256, 2000 + k);
   // The rounds must redeliver something, or the counts above prove nothing.
   EXPECT_GT(redelivered, 0u);
+}
+
+/// A node that dies after the last invocation, while the storage drains still
+/// work through their backlog, takes its drain's queued frames with it. The
+/// feed must fail over and redeliver before it closes the storage job, not
+/// end OK with those records missing.
+TEST_F(ClusterHaTest, NodeLostWhileDrainsFinishTheBacklogFailsOver) {
+  obs::Counter* pulled =
+      obs::MetricsRegistry::Default().GetCounter("idea.compute.Soak.records_in");
+  const uint64_t pulled_before = pulled->value();
+  SoakEnv env;
+  std::shared_ptr<storage::LsmDataset> dataset = env.catalog.FindDataset("D");
+  // Slow writes: the drains are still storing long after the computing job
+  // has shipped the last batch.
+  FaultInjector::Default().Arm("storage.apply", FaultSpec::Delay(1000));
+  ASSERT_TRUE(env.StartFeed(SoakRecords(400), /*frame_bytes=*/256).ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pulled->value() - pulled_before < 400 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_EQ(pulled->value() - pulled_before, 400u) << "the feed never shipped every record";
+  EXPECT_LT(dataset->LiveRecordCount(), 400u) << "the drains finished before the kill";
+  ASSERT_TRUE(env.cluster->FailNode(1).ok());
+  auto stats = env.afm->WaitForFeedStats("Soak");
+  FaultInjector::Default().DisarmAll();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->failovers, 1u);
+  EXPECT_EQ(dataset->LiveRecordCount(), 400u);
+  EXPECT_EQ(stats->records_ingested, 400u);
 }
 
 // ---------------------------------------------------------------------------

@@ -216,6 +216,60 @@ TEST(InstanceTest, Figure4FeedLifecycleViaSqlpp) {
   EXPECT_EQ((*db.ExecuteSqlpp("SELECT VALUE count(t) FROM Tweets t;"))[0].AsInt(), 120);
 }
 
+/// A finished feed's /feeds row reports the skips and retries WaitForFeed
+/// returned, the storage job's included.
+TEST(InstanceTest, FinishedFeedRowMatchesWaitForFeed) {
+  Instance db(SmallCluster());
+  ASSERT_TRUE(db.ExecuteScript(workload::TweetDdl()).ok());
+  ASSERT_TRUE(db.ExecuteScript(R"(
+    CREATE FEED SkipFeed WITH {"type-name": "TweetType", "batch-size": "60",
+                               "on-error": "skip"};
+    CONNECT FEED SkipFeed TO DATASET Tweets;
+    CREATE DATASET RetryTweets(TweetType) PRIMARY KEY id;
+    CREATE FEED RetryFeed WITH {"type-name": "TweetType", "batch-size": "60",
+                                "on-error": "skip", "max-retries": "2",
+                                "retry-backoff-us": "10"};
+    CONNECT FEED RetryFeed TO DATASET RetryTweets;
+  )").ok());
+  auto run = [&](const std::string& feed, size_t n, common::FaultSpec spec) {
+    auto records = std::make_shared<std::vector<std::string>>();
+    workload::TweetGenerator gen({.seed = 31, .country_domain = 10});
+    for (size_t i = 0; i < n; ++i) records->push_back(gen.NextJson());
+    EXPECT_TRUE(db.SetFeedAdapterFactory(feed, feed::MakeVectorAdapterFactory(records)).ok());
+    common::FaultInjector::Default().Arm("storage.apply", spec);
+    EXPECT_TRUE(db.ExecuteSqlpp("START FEED " + feed + ";").ok());
+    auto stats = db.WaitForFeed(feed);
+    common::FaultInjector::Default().DisarmAll();
+    return stats;
+  };
+  auto row = [&](const std::string& feed) {
+    auto parsed = adm::ParseJson(db.FeedsJson());
+    EXPECT_TRUE(parsed.ok());
+    return parsed.ok() ? *parsed->GetField("feeds")->GetField(feed) : Value::MakeNull();
+  };
+
+  // The storage job skips the one write that fails.
+  auto skipped = run("SkipFeed", 200, common::FaultSpec::Nth(5));
+  ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
+  EXPECT_EQ(skipped->records_skipped, 1u);
+  Value skip_row = row("SkipFeed");
+  ASSERT_TRUE(skip_row.IsObject());
+  EXPECT_FALSE(skip_row.GetField("active")->AsBool());
+  EXPECT_EQ(skip_row.GetField("records_skipped")->AsInt(), 1);
+  EXPECT_EQ(skip_row.GetField("records_ingested")->AsInt(), 199);
+
+  // The storage job retries every 25th write and stores it on the retry.
+  auto retried = run("RetryFeed", 300, common::FaultSpec::EveryNth(25));
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_GT(retried->retries, 0u);
+  Value retry_row = row("RetryFeed");
+  ASSERT_TRUE(retry_row.IsObject());
+  EXPECT_EQ(retry_row.GetField("retries")->AsInt(),
+            static_cast<int64_t>(retried->retries));
+  EXPECT_EQ(retry_row.GetField("records_skipped")->AsInt(), 0);
+  EXPECT_EQ(retry_row.GetField("records_ingested")->AsInt(), 300);
+}
+
 TEST(InstanceTest, CreateFeedRejectsMalformedNumbers) {
   Instance db(SmallCluster());
   ASSERT_TRUE(db.ExecuteScript(workload::TweetDdl()).ok());

@@ -1,23 +1,34 @@
 #!/usr/bin/env bash
-# Builds the tree under ThreadSanitizer and runs the concurrency-heavy test
-# binaries (runtime frames, frame views and partition holders, the
-# worker-pool scheduler, the three-job feed pipeline, the fault-injection
-# machinery and feed failure policies, node death and failover, the
-# observability primitives, the admin server / flight-recorder telemetry
-# plane, the LSM dataset's batched writers against its readers,
-# the batch/per-record evaluation equivalence suite, and the SQL++ facade's
-# feed START/STOP with an update client running against an enriching feed).
+# Builds the tree under a sanitizer and runs test binaries against it. The
+# sanitizer comes from the IDEA_SANITIZE environment variable (thread,
+# address or undefined; default thread), passed to the CMake option of the
+# same name. The default suite is the concurrency-heavy one (runtime frames,
+# frame views and partition holders, the worker-pool scheduler, the
+# three-job feed pipeline, the fault-injection machinery and feed failure
+# policies, node death and failover, the observability primitives, the admin
+# server / flight-recorder telemetry plane, the LSM dataset's batched writers
+# against its readers, the batch/per-record evaluation equivalence suite, and
+# the SQL++ facade's feed START/STOP with an update client running against an
+# enriching feed).
 # Usage:
 #
-#   tests/run_tsan.sh [build-dir [test-binary...]]
+#   [IDEA_SANITIZE=thread|address|undefined] tests/run_tsan.sh [build-dir [test-binary...]]
 #
-# With no test binaries, the default concurrency suite runs. Pass
-# IDEA_SANITIZE=address (or undefined) through the same CMake option for an
-# ASan/UBSan run.
+# The build directory defaults to build-tsan, build-asan or build-ubsan.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-BUILD_DIR="${1:-${REPO_ROOT}/build-tsan}"
+SANITIZE="${IDEA_SANITIZE:-thread}"
+case "${SANITIZE}" in
+  thread) TAG=tsan ;;
+  address) TAG=asan ;;
+  undefined) TAG=ubsan ;;
+  *)
+    echo "IDEA_SANITIZE must be thread, address or undefined, not '${SANITIZE}'" >&2
+    exit 2
+    ;;
+esac
+BUILD_DIR="${1:-${REPO_ROOT}/build-${TAG}}"
 shift $(( $# > 0 ? 1 : 0 ))
 
 TESTS=("$@")
@@ -28,13 +39,15 @@ if [ ${#TESTS[@]} -eq 0 ]; then
          instance_test batch_eval_equivalence_test)
 fi
 
-cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DIDEA_SANITIZE=thread \
+cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DIDEA_SANITIZE="${SANITIZE}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${BUILD_DIR}" -j "$(nproc)" --target "${TESTS[@]}"
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
+export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}"
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
 for t in "${TESTS[@]}"; do
-  echo "== tsan: ${t} =="
+  echo "== ${TAG}: ${t} =="
   "${BUILD_DIR}/tests/${t}"
 done
-echo "tsan: all clean"
+echo "${TAG}: all clean"

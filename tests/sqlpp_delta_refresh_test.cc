@@ -153,6 +153,44 @@ TEST_F(DeltaRefreshTest, HashPathMatchesFullRebuildUnderRandomChurn) {
   EXPECT_EQ(ds.noop_refreshes, noops_before + 1);
 }
 
+TEST_F(DeltaRefreshTest, MultiMatchHashPathMatchesFullRebuildUnderRandomChurn) {
+  // ReligiousPopulations joins on country_name, not on its primary key rid:
+  // one key holds several records, and an upsert can move a record to another
+  // country. With no ORDER BY, the result lists a country's rids in the order
+  // the plan holds them, so a delta-applied build must keep the full build's
+  // order within every key.
+  const auto& uc = workload::GetUseCase(workload::UseCaseId::kLargestReligions);
+  Setup(uc, /*changelog_capacity=*/8192);
+  auto def = ParseFn(R"(
+CREATE FUNCTION countryRids(t) {
+  LET rids = (SELECT VALUE r.rid FROM ReligiousPopulations r
+              WHERE r.country_name = t.country)
+  SELECT t.*, rids
+};
+)");
+  PlanConfig full_cfg;
+  full_cfg.enable_delta_refresh = false;
+  auto delta_plan = EnrichmentPlan::Compile(def, &accessor_, &resolver_);
+  auto full_plan = EnrichmentPlan::Compile(def, &accessor_, &resolver_, full_cfg);
+  ASSERT_TRUE(delta_plan.ok());
+  ASSERT_TRUE(full_plan.ok());
+  ASSERT_EQ((*delta_plan)->choices()[0].kind, AccessPathKind::kHashBuildProbe);
+
+  size_t n = workload::SimulatorScaleSizes().Scaled(0.1).religious_populations;
+  Rng rng(0x4E11C10);
+  // The reference data spans 100 countries; so do the tweets, so every probe
+  // returns a group.
+  workload::TweetGenerator gen({.seed = 17, .country_domain = 100});
+  CheckBatch(delta_plan->get(), full_plan->get(), &gen, 24);  // first = full build
+  for (int round = 0; round < 8; ++round) {
+    Churn("ReligiousPopulations", n, /*upserts=*/20, /*deletes=*/6, &rng);
+    CheckBatch(delta_plan->get(), full_plan->get(), &gen, 24);
+  }
+  const PlanStats& ds = (*delta_plan)->stats();
+  EXPECT_EQ(ds.delta_refreshes, 8u) << "a churn round left the delta path";
+  EXPECT_GT(ds.delta_records_applied, 0u);
+}
+
 TEST_F(DeltaRefreshTest, ScanPathMatchesFullRebuildUnderRandomChurn) {
   // The naive (skip-index) Nearby Monuments plan scans its cached snapshot;
   // candidate order must match a rebuilt scan exactly.
