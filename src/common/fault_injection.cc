@@ -95,7 +95,7 @@ uint64_t FaultPoint::NextOrdinal() {
   const bool current = (tag >> 32) == epoch;
   // Last ordinal handed out: the grant's limit minus what is left of it.
   uint64_t last = block.limit - (tag & kTagLeftMask);
-  if (!current || last == block.start + kOrdinalBlock) {
+  if (!current || last == block.end) {
     if (current && last > block.start) {
       // Retire the exhausted block's consumed count into the striped stats.
       // (A block from a stale epoch predates the last counter reset and is
@@ -103,10 +103,23 @@ uint64_t FaultPoint::NextOrdinal() {
       stat_shards_[ThisThreadStatShard()].hits.fetch_add(
           last - block.start, std::memory_order_relaxed);
     }
-    block.start = last = ordinal_.fetch_add(kOrdinalBlock, std::memory_order_relaxed);
+    // Reserve (start, end]. A block that would cover an nth trigger's
+    // ordinal n together with others stops at n - 1, or is n alone when n
+    // comes next: a thread that stops hitting can then strand ordinals
+    // below n, but never n itself.
+    const uint64_t n = spec_.nth;
+    const bool nth = spec_.trigger == FaultSpec::Trigger::kNth;
+    uint64_t start = ordinal_.load(std::memory_order_relaxed);
+    uint64_t end;
+    do {
+      end = start + kOrdinalBlock;
+      if (nth && start < n && n <= end) end = start + 1 == n ? n : n - 1;
+    } while (!ordinal_.compare_exchange_weak(start, end, std::memory_order_relaxed));
+    block.start = last = start;
+    block.end = end;
   }
   const uint64_t ordinal = last + 1;  // 1-based
-  block.limit = QuietUntil(ordinal, block.start + kOrdinalBlock);
+  block.limit = QuietUntil(ordinal, block.end);
   tag = (uint64_t{epoch} << 32) | (block.limit - ordinal);
   return ordinal;
 }

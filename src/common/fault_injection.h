@@ -112,26 +112,27 @@ namespace fault_internal {
 
 /// Reserved range of hit ordinals for one (thread, point) pair, used by the
 /// counting triggers (nth / every-nth). Threads reserve small blocks from the
-/// point's shared dispenser so the contended fetch_add happens once per
-/// kOrdinalBlock hits; the inline armed fast path only ever touches the
+/// point's shared dispenser so the contended read-modify-write happens once
+/// per block of hits; the inline armed fast path only ever touches the
 /// thread's own grant tag.
 ///
-/// The block covers ordinals (start, start + kOrdinalBlock]. Each trip
-/// through the out-of-line path hands out one ordinal, decides whether it
-/// fires, and grants the inline path the run of ordinals up to `limit`, all
-/// of which are known not to fire. The grant itself is the block's *tag*,
-/// kept apart from the block: it packs the arming epoch the grant belongs to
-/// (high half) with how many of the granted ordinals are left (low half), so
-/// one subtract-and-compare both validates the grant and checks that it is
-/// not used up.
+/// The block covers ordinals (start, end] (see FaultPoint::NextOrdinal).
+/// Each trip through the out-of-line path hands out one ordinal, decides
+/// whether it fires, and grants the inline path the run of ordinals up to
+/// `limit`, all of which are known not to fire. The grant itself is the
+/// block's *tag*, kept apart from the block: it packs the arming epoch the
+/// grant belongs to (high half) with how many of the granted ordinals are
+/// left (low half), so one subtract-and-compare both validates the grant and
+/// checks that it is not used up.
 struct TlsOrdinalBlock {
   uint64_t start = 0;
+  uint64_t end = 0;
   uint64_t limit = 0;
 };
 
 /// How many ordinals a thread reserves per trip to the shared dispenser.
 /// Small enough that a thread strands at most a block's worth of ordinals
-/// when it exits mid-block, large enough to amortize the shared RMW away.
+/// when it stops hitting mid-block, large enough to amortize the shared RMW away.
 inline constexpr uint64_t kOrdinalBlock = 64;
 
 /// Low half of a tag: granted ordinals the inline path may still take.
@@ -230,9 +231,12 @@ class FaultPoint {
   /// Next 1-based hit ordinal for the counting triggers (kNth/kEveryNth),
   /// refilling the thread's block from the shared dispenser when exhausted,
   /// and granting the inline path the following ordinals that cannot fire.
-  /// Every ordinal is handed out exactly once, which keeps "the nth hit
-  /// fires once" exact; ordering across threads is approximate, and on a
-  /// single thread ordinals are the familiar 1, 2, 3, ...
+  /// No ordinal is handed out twice, but a thread that stops hitting strands
+  /// the rest of its block, so across threads ordinals are neither ordered
+  /// nor all used. An nth trigger's ordinal n is therefore reserved alone,
+  /// and Nth(n) fires exactly once whenever the point is hit at least n
+  /// times from any threads. On a single thread ordinals are the familiar
+  /// 1, 2, 3, ..., so the n-th hit fires.
   uint64_t NextOrdinal();
   /// The largest L in [ordinal, end] such that no ordinal in (ordinal, L]
   /// fires under spec_: the run the inline path may take after `ordinal`.
@@ -262,7 +266,7 @@ class FaultPoint {
   uint64_t seed_ = 0;
   std::atomic<uint64_t> fires_{0};
   // Block dispenser for the counting triggers, on its own cache line so its
-  // fetch_add never dirties the hot line.
+  // compare-and-swap never dirties the hot line.
   alignas(64) std::atomic<uint64_t> ordinal_{0};
   // Cold: registry bookkeeping and statistics.
   std::string name_;

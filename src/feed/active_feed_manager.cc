@@ -43,18 +43,15 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
   }
   // Compile the computing job once per node (the paper's predeployed job),
   // then bring up the two long-running jobs.
-  auto feed = std::make_shared<ActiveFeed>();
-  feed->config = args.config;
-  feed->connection = args.connection;
+  auto feed = std::make_shared<ActiveFeed>(args);
   IDEA_ASSIGN_OR_RETURN(feed->computing,
                         ComputingJob::Deploy(feed->config, args.connection.apply_function,
-                                             cluster_, catalog_, udfs_));
-  if (feed->config.on_error == OnError::kDeadLetter) {
+                                             cluster_, catalog_, udfs_, &feed->policy));
+  if (feed->policy.dlq() != nullptr) {
     // A fresh queue per run; the previous run's letters are dropped once the
     // feed restarts (operators drain between runs).
-    feed->dlq = std::make_shared<DeadLetterQueue>(name, feed->config.dlq_capacity);
     std::lock_guard<std::mutex> lock(mu_);
-    dlqs_[name] = feed->dlq;
+    dlqs_[name] = feed->policy.dlq();
   }
   // One partition per node. Non-HA feeds keep the fixed identity binding
   // (partition p on node p); HA feeds plan over the live nodes
@@ -71,8 +68,8 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
     }
   }
   feed->intake = std::make_unique<IntakeJob>(name, cluster_);
-  feed->storage = std::make_unique<StorageJob>(name, cluster_, dataset, feed->config,
-                                               feed->dlq.get());
+  feed->storage = std::make_unique<StorageJob>(name, cluster_, dataset, &feed->policy,
+                                               feed->config);
   if (feed->config.ha_failover) {
     // Durable-frame hook: a frame's WAL group-commit retires it against its
     // intake lease, and the ledger says how many records count as stored
@@ -87,7 +84,7 @@ Status ActiveFeedManager::StartFeed(StartArgs args) {
   }
   IDEA_RETURN_NOT_OK(feed->storage->Start(placement));
   IDEA_RETURN_NOT_OK(feed->intake->Start(args.adapter_factory, args.config,
-                                         placement.size(), feed->dlq.get()));
+                                         placement.size(), &feed->policy));
   for (size_t p = 0; p < placement.size(); ++p) {
     feed->routes.push_back(ComputingJob::Route{placement[p], feed->intake->holder(p),
                                                feed->storage->holder(p)});
@@ -141,7 +138,7 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
     // Routes change only in RecoverFeed, which runs on this loop between
     // invocations, so the invocation reads them in place.
     inflight->Add(1);
-    auto inv = feed->computing->RunOnce(feed->routes, feed->dlq.get());
+    auto inv = feed->computing->RunOnce(feed->routes);
     inflight->Add(-1);
     Status st = inv.status();
     if (inv.ok()) {
@@ -154,9 +151,6 @@ void ActiveFeedManager::DriveFeed(ActiveFeed* feed) {
         }
         feed->stats.parse_errors += inv->parse_errors;
         feed->stats.validation_errors += inv->validation_errors;
-        feed->stats.records_skipped += inv->records_skipped;
-        feed->stats.dead_letters += inv->dead_letters;
-        feed->stats.retries += inv->retries;
         if (inv->records_in > 0 || !inv->intake_exhausted) {
           ++feed->stats.computing_jobs;
           feed->stats.compute_micros_total += inv->wall_micros;
@@ -348,9 +342,9 @@ Status ActiveFeedManager::WaitForFeed(const std::string& feed_name) {
 FeedRuntimeStats ActiveFeedManager::Summary(const ActiveFeed& feed) {
   FeedRuntimeStats stats = feed.stats;
   stats.records_ingested = feed.storage->records_stored();
-  stats.records_skipped += feed.intake->records_skipped() + feed.storage->records_skipped();
-  stats.dead_letters += feed.intake->dead_letters() + feed.storage->dead_letters();
-  stats.retries += feed.storage->retries();
+  stats.records_skipped = feed.policy.records_skipped();
+  stats.dead_letters = feed.policy.dead_letters();
+  stats.retries = feed.policy.retries();
   return stats;
 }
 

@@ -26,7 +26,7 @@
 #include "common/first_error.h"
 #include "common/status.h"
 #include "feed/computing_job.h"
-#include "feed/dead_letter.h"
+#include "feed/failure_policy.h"
 #include "feed/feed.h"
 #include "feed/intake_job.h"
 #include "feed/storage_job.h"
@@ -76,17 +76,20 @@ class ActiveFeedManager {
 
  private:
   struct ActiveFeed {
+    explicit ActiveFeed(const StartArgs& args)
+        : config(args.config), connection(args.connection), policy(config) {}
+
     FeedConfig config;
     FeedConnection connection;
+    /// Shared by the three jobs; declared before them so it outlives them.
+    FailurePolicy policy;
     std::unique_ptr<ComputingJob> computing;
     std::unique_ptr<IntakeJob> intake;
     std::unique_ptr<StorageJob> storage;
     /// The DriveFeed invocation loop, a task on the CC's pool.
     runtime::TaskGroup driver;
-    /// Shared with dlqs_ so letters survive feed completion.
-    std::shared_ptr<DeadLetterQueue> dlq;
-    /// The computing side's counters and the feed's lifetime figures;
-    /// Summary adds what only the intake and storage jobs count.
+    /// The computing side's error counts and the feed's lifetime figures;
+    /// Summary adds the stored records and the policy's counts.
     FeedRuntimeStats stats;
     common::FirstError final_status;
 
@@ -101,8 +104,8 @@ class ActiveFeedManager {
   };
 
   /// The feed's statistics: `feed.stats` plus the records the storage job
-  /// committed and the skips, dead letters and retries the intake and storage
-  /// jobs counted. Caller holds mu_.
+  /// committed and the skips, dead letters and retries of the feed's policy.
+  /// Caller holds mu_.
   static FeedRuntimeStats Summary(const ActiveFeed& feed);
 
   void DriveFeed(ActiveFeed* feed);

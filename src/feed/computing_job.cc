@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "common/fault_injection.h"
 #include "common/virtual_clock.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 #include "runtime/frame.h"
@@ -16,25 +13,6 @@
 namespace idea::feed {
 
 namespace {
-
-/// Retryable = worth another attempt with the same inputs. Aborts mean the
-/// pipeline itself is going down; validation-class codes are deterministic
-/// for a given record and will not change on retry.
-bool IsRetryable(const Status& st) {
-  switch (st.code()) {
-    case StatusCode::kAborted:
-    case StatusCode::kTypeMismatch:
-    case StatusCode::kInvalidArgument:
-    case StatusCode::kParseError:
-    // Unavailable = the hosting node died; retrying on the same node cannot
-    // succeed. It must surface to the Active Feed Manager, which re-points
-    // the partition's tasks and resumes (feed failover).
-    case StatusCode::kUnavailable:
-      return false;
-    default:
-      return true;
-  }
-}
 
 /// Validation rejects (datatype checks, coercions) vs everything else, for
 /// the parse_errors / validation_errors metric split.
@@ -45,11 +23,30 @@ bool IsValidationReject(const Status& st) {
 
 }  // namespace
 
+ComputingJob::ComputingJob(const FeedConfig& config, cluster::Cluster* cluster,
+                           FailurePolicy* policy)
+    : config_(config), cluster_(cluster), policy_(policy) {
+  obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.compute." + config.name);
+  metrics_.invocation_us = scope.Histogram("invocation_us");
+  metrics_.invocations = scope.Counter("invocations");
+  metrics_.records_in = scope.Counter("records_in");
+  metrics_.records_out = scope.Counter("records_out");
+  metrics_.parse_errors = scope.Counter("parse_errors");
+  metrics_.validation_errors = scope.Counter("validation_errors");
+  metrics_.parse_cpu_us = scope.Histogram("parse_cpu_us");
+  metrics_.init_cpu_us = scope.Histogram("init_cpu_us");
+  metrics_.enrich_cpu_us = scope.Histogram("enrich_cpu_us");
+  metrics_.ship_cpu_us = scope.Histogram("ship_cpu_us");
+  metrics_.critical_cpu_us = scope.Histogram("critical_cpu_us");
+  metrics_.ship_bytes = scope.Counter("ship_bytes");
+}
+
 Result<std::unique_ptr<ComputingJob>> ComputingJob::Deploy(const FeedConfig& config,
                                                           const std::string& udf,
                                                           cluster::Cluster* cluster,
                                                           storage::Catalog* catalog,
-                                                          const UdfRegistry* udfs) {
+                                                          const UdfRegistry* udfs,
+                                                          FailurePolicy* policy) {
   const std::string& feed_name = config.name;
   const adm::Datatype* datatype = nullptr;
   if (!config.type_name.empty()) {
@@ -73,7 +70,7 @@ Result<std::unique_ptr<ComputingJob>> ComputingJob::Deploy(const FeedConfig& con
       is_native = true;
     }
   }
-  std::unique_ptr<ComputingJob> job(new ComputingJob(config, cluster));
+  std::unique_ptr<ComputingJob> job(new ComputingJob(config, cluster, policy));
   for (size_t node = 0; node < cluster->node_count(); ++node) {
     auto artifact = std::make_unique<ComputingArtifact>();
     IDEA_ASSIGN_OR_RETURN(artifact->parser, MakeParser(config.format, datatype));
@@ -94,8 +91,7 @@ Result<std::unique_ptr<ComputingJob>> ComputingJob::Deploy(const FeedConfig& con
   return job;
 }
 
-Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& routes,
-                                                  DeadLetterQueue* dlq) {
+Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& routes) {
   const std::string& feed_name = config_.name;
   const FeedConfig& config = config_;
   cluster::Cluster* cluster = cluster_;
@@ -111,31 +107,13 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
            ((p + invocation) % partitions < config.batch_size % partitions ? 1 : 0);
   };
 
-  obs::Scope scope(&obs::MetricsRegistry::Default(), "idea.compute." + feed_name);
-  obs::Histogram* invocation_us = scope.Histogram("invocation_us");
-  obs::Counter* invocations = scope.Counter("invocations");
-  obs::Counter* records_in_metric = scope.Counter("records_in");
-  obs::Counter* records_out_metric = scope.Counter("records_out");
-  obs::Counter* parse_errors_metric = scope.Counter("parse_errors");
-  obs::Counter* validation_errors_metric = scope.Counter("validation_errors");
-  obs::Counter* skipped_metric = scope.Counter("records_skipped");
-  obs::Counter* retries_metric = scope.Counter("retries");
-  // Thread CPU per partition task and stage, the input of the figure benches'
-  // cost model (cluster/cost_model.h).
-  obs::Histogram* parse_cpu_us = scope.Histogram("parse_cpu_us");
-  obs::Histogram* init_cpu_us = scope.Histogram("init_cpu_us");
-  obs::Histogram* enrich_cpu_us = scope.Histogram("enrich_cpu_us");
-  obs::Histogram* ship_cpu_us = scope.Histogram("ship_cpu_us");
-  obs::Histogram* critical_cpu_us = scope.Histogram("critical_cpu_us");
-  obs::Counter* ship_bytes_metric = scope.Counter("ship_bytes");
-
   obs::Tracer& tracer = obs::Tracer::Default();
   const uint64_t trace_id = tracer.StartTrace(feed_name);
 
   WallTimer timer;
   timer.Start();
   std::atomic<uint64_t> records_in{0}, records_out{0}, parse_errors{0},
-      validation_errors{0}, records_skipped{0}, dead_letters{0}, retries{0};
+      validation_errors{0};
   std::atomic<size_t> exhausted_nodes{0};
   std::atomic<uint64_t> ship_bytes{0};
   std::vector<std::vector<obs::Span>> node_spans(partitions);
@@ -179,10 +157,11 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
         records_in.fetch_add(raw.size(), std::memory_order_relaxed);
         // Parser. Malformed records are record-level failures: they are
         // counted (split lexer rejects vs datatype validation rejects) and
-        // never kill the feed; the dead-letter policy additionally parks
-        // them. The injected parse fault is keyed by record content so the
-        // poisoned set is a pure function of the seed and the data,
-        // independent of how records interleave across node threads.
+        // go to the policy, but never kill the feed: the cause the abort
+        // policy returns is ignored. The injected parse fault is keyed by
+        // record content so the poisoned set is a pure function of the seed
+        // and the data, independent of how records interleave across node
+        // threads.
         std::vector<adm::Value> parsed;
         std::vector<size_t> origin;  // parsed[i] came from raw[origin[i]]
         parsed.reserve(raw.size());
@@ -206,12 +185,7 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
           } else {
             parse_errors.fetch_add(1, std::memory_order_relaxed);
           }
-          if (config.on_error == OnError::kDeadLetter && dlq != nullptr) {
-            dlq->Add(DeadLetter{r, "parse", reject, 0});
-            dead_letters.fetch_add(1, std::memory_order_relaxed);
-          } else if (config.on_error == OnError::kSkip) {
-            records_skipped.fetch_add(1, std::memory_order_relaxed);
-          }
+          (void)policy_->Reject("parse", std::move(reject), 0, [&] { return r; });
         }
         cpu.parse = cpu_timer.ElapsedMicros();
         span("compute.parse", t0);
@@ -222,22 +196,14 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
         // Initialize() is a no-op / delta apply in the steady state and only
         // pays a full rebuild on the first batch or after heavy churn.
         //
-        // Failure handling: the whole refresh+enrich is retried up to
-        // config.max_retries with deterministic exponential backoff; if the
-        // batch still fails under a skip/dead-letter policy, a per-record
-        // salvage pass (with its own per-record retries) separates records
-        // that fail persistently from casualties of a transient fault.
-        const uint64_t salt = common::StableHash64(feed_name) ^
-                              (invocation * 0x9e3779b97f4a7c15ull) ^ p;
-        auto backoff = [&](uint32_t attempt) {
-          retries.fetch_add(1, std::memory_order_relaxed);
-          obs::FlightRecorder::Default().Record(
-              obs::FlightEventKind::kRetry, feed_name, "compute",
-              static_cast<int>(p), attempt + 1);
-          uint64_t us =
-              common::RetryBackoffMicros(config.retry_backoff_us, attempt, salt);
-          if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
-        };
+        // Failure handling: the whole refresh+enrich is retried as the policy
+        // allows; if the batch still fails under skip or dead-letter, a
+        // per-record salvage pass (with its own per-record retries)
+        // separates records that fail persistently from casualties of a
+        // transient fault.
+        const FailurePolicy::RetrySite site{
+            "compute", static_cast<int>(p),
+            common::StableHash64(feed_name) ^ (invocation * 0x9e3779b97f4a7c15ull) ^ p};
         auto refresh = [&]() -> Status {
           double init_start = obs::NowMicros();
           ThreadCpuTimer init_timer;
@@ -263,34 +229,24 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
           enriched = std::move(parsed);
         } else {
           std::lock_guard<std::mutex> artifact_lock(artifact->mu);
-          auto enrich_batch = [&](std::vector<adm::Value>* out) -> Status {
+          auto enrich_batch = [&]() -> Status {
+            enriched.clear();
             IDEA_RETURN_NOT_OK(refresh());
             double e0 = obs::NowMicros();
             ThreadCpuTimer enrich_timer;
             enrich_timer.Start();
-            out->reserve(parsed.size());
+            enriched.reserve(parsed.size());
             for (const auto& rec : parsed) {
               IDEA_ASSIGN_OR_RETURN(adm::Value v, enrich_one(rec));
-              out->push_back(std::move(v));
+              enriched.push_back(std::move(v));
             }
             cpu.enrich += enrich_timer.ElapsedMicros();
             span("compute.enrich", e0);
             return Status::OK();
           };
-          Status enrich_status;
-          for (uint32_t attempt = 0;; ++attempt) {
-            enriched.clear();
-            enrich_status = enrich_batch(&enriched);
-            if (enrich_status.ok()) break;
-            if (IsRetryable(enrich_status) && attempt < config.max_retries) {
-              backoff(attempt);
-              continue;
-            }
-            break;
-          }
+          Status enrich_status = policy_->Retry(site, enrich_batch(), enrich_batch);
           if (!enrich_status.ok()) {
-            if (config.on_error == OnError::kAbort ||
-                enrich_status.code() == StatusCode::kAborted) {
+            if (policy_->aborts() || enrich_status.code() == StatusCode::kAborted) {
               return enrich_status;
             }
             // Salvage pass: the batch keeps failing as a whole; evaluate
@@ -298,44 +254,22 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
             // the policy. The refresh gets its own retries — without state
             // nothing can be salvaged and the invocation fails.
             enriched.clear();
-            Status refreshed;
-            for (uint32_t attempt = 0;; ++attempt) {
-              refreshed = refresh();
-              if (refreshed.ok()) break;
-              if (IsRetryable(refreshed) && attempt < config.max_retries) {
-                backoff(attempt);
-                continue;
-              }
-              return refreshed;
-            }
+            IDEA_RETURN_NOT_OK(policy_->Retry(site, refresh(), refresh));
             enriched.reserve(parsed.size());
             ThreadCpuTimer salvage_timer;
             salvage_timer.Start();
             for (size_t k = 0; k < parsed.size(); ++k) {
-              Status rec_status;
-              uint32_t attempt = 0;
-              for (;; ++attempt) {
-                auto one = enrich_one(parsed[k]);
-                if (one.ok()) {
-                  enriched.push_back(std::move(one).value());
-                  rec_status = Status::OK();
-                  break;
-                }
-                rec_status = one.status();
-                if (rec_status.code() == StatusCode::kAborted) return rec_status;
-                if (IsRetryable(rec_status) && attempt < config.max_retries) {
-                  backoff(attempt);
-                  continue;
-                }
-                break;
-              }
+              auto salvage = [&]() -> Status {
+                IDEA_ASSIGN_OR_RETURN(adm::Value v, enrich_one(parsed[k]));
+                enriched.push_back(std::move(v));
+                return Status::OK();
+              };
+              uint32_t attempts = 0;
+              Status rec_status = policy_->Retry(site, salvage(), salvage, &attempts);
+              if (rec_status.code() == StatusCode::kAborted) return rec_status;
               if (!rec_status.ok()) {
-                if (config.on_error == OnError::kDeadLetter && dlq != nullptr) {
-                  dlq->Add(DeadLetter{raw[origin[k]], "udf", rec_status, attempt + 1});
-                  dead_letters.fetch_add(1, std::memory_order_relaxed);
-                } else {
-                  records_skipped.fetch_add(1, std::memory_order_relaxed);
-                }
+                IDEA_RETURN_NOT_OK(policy_->Reject("udf", std::move(rec_status), attempts,
+                                                  [&] { return raw[origin[k]]; }));
               }
             }
             cpu.enrich += salvage_timer.ElapsedMicros();
@@ -380,12 +314,8 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
   out.records_out = records_out.load();
   out.parse_errors = parse_errors.load();
   out.validation_errors = validation_errors.load();
-  out.records_skipped = records_skipped.load();
-  out.dead_letters = dead_letters.load();
-  out.retries = retries.load();
   out.intake_exhausted = exhausted_nodes.load() == partitions;
   out.wall_micros = timer.ElapsedMicros();
-  out.trace_id = trace_id;
 
   if (out.records_in == 0 && out.intake_exhausted) {
     // Empty EOF pull: nothing flowed, keep the ring for real batches.
@@ -396,22 +326,20 @@ Result<ComputingInvocation> ComputingJob::RunOnce(const std::vector<Route>& rout
     }
     double critical = 0;
     for (const TaskCpu& cpu : task_cpu) {
-      parse_cpu_us->Record(cpu.parse);
-      init_cpu_us->Record(cpu.init);
-      enrich_cpu_us->Record(cpu.enrich);
-      ship_cpu_us->Record(cpu.ship);
+      metrics_.parse_cpu_us->Record(cpu.parse);
+      metrics_.init_cpu_us->Record(cpu.init);
+      metrics_.enrich_cpu_us->Record(cpu.enrich);
+      metrics_.ship_cpu_us->Record(cpu.ship);
       critical = std::max(critical, cpu.parse + cpu.init + cpu.enrich + cpu.ship);
     }
-    critical_cpu_us->Record(critical);
-    ship_bytes_metric->Add(ship_bytes.load());
-    invocations->Increment();
-    invocation_us->Record(out.wall_micros);
-    records_in_metric->Add(out.records_in);
-    records_out_metric->Add(out.records_out);
-    parse_errors_metric->Add(out.parse_errors);
-    validation_errors_metric->Add(out.validation_errors);
-    skipped_metric->Add(out.records_skipped);
-    retries_metric->Add(out.retries);
+    metrics_.critical_cpu_us->Record(critical);
+    metrics_.ship_bytes->Add(ship_bytes.load());
+    metrics_.invocations->Increment();
+    metrics_.invocation_us->Record(out.wall_micros);
+    metrics_.records_in->Add(out.records_in);
+    metrics_.records_out->Add(out.records_out);
+    metrics_.parse_errors->Add(out.parse_errors);
+    metrics_.validation_errors->Add(out.validation_errors);
   }
   return out;
 }

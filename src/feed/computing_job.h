@@ -25,7 +25,7 @@
 
 #include "cluster/cluster_controller.h"
 #include "common/status.h"
-#include "feed/dead_letter.h"
+#include "feed/failure_policy.h"
 #include "feed/feed.h"
 #include "feed/record_parser.h"
 #include "feed/udf.h"
@@ -54,13 +54,8 @@ struct ComputingInvocation {
   uint64_t records_out = 0;
   uint64_t parse_errors = 0;       // lexer/shape rejects
   uint64_t validation_errors = 0;  // datatype validation/coercion rejects
-  uint64_t records_skipped = 0;    // dropped by the `skip` failure policy
-  uint64_t dead_letters = 0;       // parked by the `dead-letter` policy
-  uint64_t retries = 0;            // transient-failure retry attempts
   bool intake_exhausted = false;
   double wall_micros = 0;
-  /// Pipeline-trace id of this batch (obs::Tracer); 0 when untraced.
-  uint64_t trace_id = 0;
 };
 
 class ComputingJob {
@@ -75,30 +70,50 @@ class ComputingJob {
 
   /// Compiles the computing job for `config.name` once per cluster node.
   /// `udf` is a SQL++ function name, a native qualified name, or empty.
+  /// `policy` takes every failure of the job's invocations and must outlive
+  /// the job.
   static Result<std::unique_ptr<ComputingJob>> Deploy(const FeedConfig& config,
                                                       const std::string& udf,
                                                       cluster::Cluster* cluster,
                                                       storage::Catalog* catalog,
-                                                      const UdfRegistry* udfs);
+                                                      const UdfRegistry* udfs,
+                                                      FailurePolicy* policy);
 
   /// Runs one invocation: partition p runs as a task on routes[p].node's
   /// scheduler and pulls its share of batch_size records (see
   /// FeedConfig::batch_size) from routes[p].intake. Each task's thread CPU
   /// per stage goes to the idea.compute.<feed>.*_cpu_us histograms.
-  /// Failure handling follows config.on_error / config.max_retries; under
-  /// the dead-letter policy rejected records are parked in `dlq` when
-  /// provided. A kUnavailable result means a hosting node died
-  /// mid-invocation — the Active Feed Manager re-points the routes and
-  /// resumes (not a feed failure). Not reentrant: one invocation at a time.
-  Result<ComputingInvocation> RunOnce(const std::vector<Route>& routes,
-                                      DeadLetterQueue* dlq = nullptr);
+  /// Failures go to the feed's policy. A kUnavailable result means a hosting
+  /// node died mid-invocation — the Active Feed Manager re-points the routes
+  /// and resumes (not a feed failure). Not reentrant: one invocation at a
+  /// time.
+  Result<ComputingInvocation> RunOnce(const std::vector<Route>& routes);
 
  private:
-  ComputingJob(const FeedConfig& config, cluster::Cluster* cluster)
-      : config_(config), cluster_(cluster) {}
+  /// The idea.compute.<feed>.* series, looked up once at Deploy.
+  struct Metrics {
+    obs::Histogram* invocation_us;
+    obs::Counter* invocations;
+    obs::Counter* records_in;
+    obs::Counter* records_out;
+    obs::Counter* parse_errors;
+    obs::Counter* validation_errors;
+    // Thread CPU per partition task and stage, the input of the figure
+    // benches' cost model (cluster/cost_model.h).
+    obs::Histogram* parse_cpu_us;
+    obs::Histogram* init_cpu_us;
+    obs::Histogram* enrich_cpu_us;
+    obs::Histogram* ship_cpu_us;
+    obs::Histogram* critical_cpu_us;
+    obs::Counter* ship_bytes;
+  };
+
+  ComputingJob(const FeedConfig& config, cluster::Cluster* cluster, FailurePolicy* policy);
 
   FeedConfig config_;
   cluster::Cluster* cluster_;
+  FailurePolicy* policy_;
+  Metrics metrics_;
   std::vector<std::unique_ptr<ComputingArtifact>> artifacts_;  // by node
   /// Invocations run so far; rotates the batch quota's remainder.
   uint64_t invocations_ = 0;

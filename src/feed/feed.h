@@ -13,8 +13,9 @@ namespace idea::feed {
 
 /// Per-feed ingestion failure policy (the AsterixDB feed-policy lineage:
 /// "Scalable Fault-Tolerant Data Feeds in AsterixDB", Grover & Carey).
-/// Applies to record-level failures (parse/validation rejects, persistently
-/// failing UDF evaluations, storage rejections) after retries are exhausted.
+/// Applies to record-level failures (unreadable records, parse/validation
+/// rejects, persistently failing UDF evaluations, storage rejections) after
+/// retries are exhausted. FailurePolicy (failure_policy.h) applies it.
 enum class OnError : uint8_t {
   kAbort,       // first failure kills the feed (default; pre-policy behavior)
   kSkip,        // drop the failing record, count it, keep going
@@ -40,8 +41,9 @@ struct FeedConfig {
   size_t frame_bytes = 32 * 1024;
   /// What to do with a record/batch that still fails after `max_retries`.
   OnError on_error = OnError::kAbort;
-  /// Transient-failure retries per computing invocation (plan refresh + UDF
-  /// evaluation). 0 = fail straight into `on_error`.
+  /// Retries of a failed attempt whose failure may be transient: a
+  /// computing batch (plan refresh + UDF evaluation), a salvaged record, a
+  /// storage write. 0 = fail straight into `on_error`.
   uint32_t max_retries = 0;
   /// Base retry backoff (µs). Delays grow exponentially per attempt (capped
   /// at 64x) with deterministic jitter in [delay/2, delay].
@@ -89,8 +91,9 @@ struct FeedRuntimeStats {
   uint64_t records_ingested = 0;   // records committed, each once
   uint64_t parse_errors = 0;       // lexer/shape failures (ParseError)
   uint64_t validation_errors = 0;  // datatype validation/coercion rejects
+  // The feed's FailurePolicy counts these over all three stages.
   uint64_t records_skipped = 0;    // dropped by the `skip` policy
-  uint64_t dead_letters = 0;       // parked by the `dead-letter` policy
+  uint64_t dead_letters = 0;       // parked: the dead-letter queue's enqueued()
   uint64_t retries = 0;            // transient-failure retry attempts
   uint64_t computing_jobs = 0;     // invocations (dynamic framework)
   double compute_micros_total = 0; // Σ wall time of computing jobs

@@ -15,7 +15,7 @@ IntakeJob::~IntakeJob() {
 }
 
 Status IntakeJob::Start(const AdapterFactory& factory, const FeedConfig& config,
-                        size_t partitions, DeadLetterQueue* dlq) {
+                        size_t partitions, FailurePolicy* policy) {
   const size_t nodes = cluster_->node_count();
   routing_slack_ = config.routing_slack;
   for (size_t p = 0; p < partitions; ++p) {
@@ -34,14 +34,12 @@ Status IntakeJob::Start(const AdapterFactory& factory, const FeedConfig& config,
   obs::Counter* adapter_records = scope.Counter("adapter_records");
   obs::Counter* read_errors = scope.Counter("read_errors");
   obs::Histogram* adapter_cpu_us = scope.Histogram("adapter_cpu_us");
-  const OnError on_error = config.on_error;
   for (size_t i = 0; i < adapters_.size(); ++i) {
     // Adapter i lives on its intake node's pool: one intake node for the
     // default single-adapter feed, every node when balanced.
     runtime::TaskScheduler* pool = &cluster_->node(i % nodes).scheduler();
     Status launched = adapter_tasks_.Launch(
-        pool, [this, i, adapter_records, read_errors, adapter_cpu_us, on_error,
-               dlq]() -> Status {
+        pool, [this, i, adapter_records, read_errors, adapter_cpu_us, policy]() -> Status {
           ThreadCpuTimer cpu_timer;
           cpu_timer.Start();
           FeedAdapter* adapter = adapters_[i].get();
@@ -57,15 +55,11 @@ Status IntakeJob::Start(const AdapterFactory& factory, const FeedConfig& config,
             Status read = IDEA_FAULT_HIT_KEYED("intake.read", raw);
             if (!read.ok()) {
               read_errors->Increment();
-              if (on_error == OnError::kAbort) {
-                error_.Set(read);
+              Status rejected = policy->Reject("intake", std::move(read), 0,
+                                               [&] { return std::move(raw); });
+              if (!rejected.ok()) {
+                error_.Set(rejected);
                 break;
-              }
-              if (on_error == OnError::kDeadLetter && dlq != nullptr) {
-                dlq->Add(DeadLetter{std::move(raw), "intake", read, 0});
-                dead_letters_.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                skipped_.fetch_add(1, std::memory_order_relaxed);
               }
               raw.clear();
               continue;

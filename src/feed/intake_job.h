@@ -13,9 +13,8 @@
 // slow node still sheds load, because its queue grows deeper.
 //
 // A record the adapter hands over but the `intake.read` fault point marks
-// unreadable follows the feed's failure policy: it is skipped, parked in the
-// dead-letter queue (stage "intake"), or aborts the feed. The job counts the
-// first two for the feed's summary.
+// unreadable goes to the feed's FailurePolicy (stage "intake", no retries),
+// which skips it, parks it, or aborts the feed.
 //
 // The holders live as long as the feed. For HA feeds (FeedConfig::ha_failover)
 // pulled batches are leased for at-least-once redelivery; when a node is
@@ -30,7 +29,7 @@
 #include "cluster/cluster_controller.h"
 #include "common/first_error.h"
 #include "common/status.h"
-#include "feed/dead_letter.h"
+#include "feed/failure_policy.h"
 #include "feed/feed.h"
 #include "runtime/partition_holder.h"
 #include "runtime/task_scheduler.h"
@@ -44,12 +43,11 @@ class IntakeJob {
 
   /// Creates `partitions` intake partition holders, builds the adapters
   /// (one, or one per intake node when balanced), and starts ingesting.
-  /// config supplies the intake layout (balanced_intake), the routing slack,
-  /// the failure policy for adapter read errors, and the holder push
-  /// deadline; `dlq` receives unreadable records under the dead-letter
-  /// policy.
+  /// config supplies the intake layout (balanced_intake), the routing slack
+  /// and the holder push deadline; `policy` takes adapter read errors and
+  /// must outlive the job.
   Status Start(const AdapterFactory& factory, const FeedConfig& config, size_t partitions,
-               DeadLetterQueue* dlq = nullptr);
+               FailurePolicy* policy);
 
   /// Asks adapters to stop (STOP FEED); ingestion drains and EOF follows.
   void StopAdapters();
@@ -65,11 +63,6 @@ class IntakeJob {
   /// First intake-side failure (stalled push, adapter read error under the
   /// abort policy); OK while healthy.
   Status first_error() const { return error_.Get(); }
-
-  /// Unreadable records dropped by the `skip` policy.
-  uint64_t records_skipped() const { return skipped_.load(std::memory_order_relaxed); }
-  /// Unreadable records parked in the DLQ by the `dead-letter` policy.
-  uint64_t dead_letters() const { return dead_letters_.load(std::memory_order_relaxed); }
 
   /// Re-queues every unacked leased batch on every partition (post-failover
   /// at-least-once redelivery). Returns records re-queued.
@@ -101,8 +94,6 @@ class IntakeJob {
   std::vector<std::unique_ptr<FeedAdapter>> adapters_;
   runtime::TaskGroup adapter_tasks_;
   std::atomic<size_t> live_adapters_{0};
-  std::atomic<uint64_t> skipped_{0};
-  std::atomic<uint64_t> dead_letters_{0};
   common::FirstError error_;
   size_t routing_slack_ = 64;
   bool joined_ = false;

@@ -1,14 +1,11 @@
 #include "feed/storage_job.h"
 
 #include <algorithm>
-#include <chrono>
 #include <span>
-#include <thread>
 #include <utility>
 
 #include "common/fault_injection.h"
 #include "common/virtual_clock.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
@@ -16,12 +13,12 @@ namespace idea::feed {
 
 StorageJob::StorageJob(std::string feed_name, cluster::Cluster* cluster,
                        std::shared_ptr<storage::LsmDataset> dataset,
-                       FeedConfig config, DeadLetterQueue* dlq)
+                       FailurePolicy* policy, FeedConfig config)
     : feed_name_(std::move(feed_name)),
       cluster_(cluster),
       dataset_(std::move(dataset)),
-      config_(std::move(config)),
-      dlq_(dlq) {}
+      policy_(policy),
+      config_(std::move(config)) {}
 
 StorageJob::~StorageJob() {
   Close();
@@ -52,19 +49,20 @@ Status StorageJob::Start(const std::vector<size_t>& placement) {
 Status StorageJob::LaunchDrain(size_t p, size_t node,
                                std::shared_ptr<runtime::StoragePartitionHolder> holder) {
   // The drain loop is a long-lived task collocated with partition p's
-  // holder. Under the abort policy the first write failure poisons the
-  // holder (blocked producers fail fast instead of wedging against a dead
-  // consumer); under skip/dead-letter the loop keeps draining and applies
-  // the policy per record. The loop is bound to this holder *instance*:
-  // after a relocation the poisoned holder drains to false and the loop
-  // exits, leaving the replacement loop (launched on the target node) as
-  // the partition's sole consumer.
+  // holder. A write failure goes to the feed's policy: under abort the first
+  // one poisons the holder (blocked producers fail fast instead of wedging
+  // against a dead consumer); under skip/dead-letter the loop keeps draining
+  // and the policy takes the failing record. The loop is bound to this
+  // holder *instance*: after a relocation the poisoned holder drains to
+  // false and the loop exits, leaving the replacement loop (launched on the
+  // target node) as the partition's sole consumer.
   return drain_tasks_.Launch(
       &cluster_->node(node).scheduler(),
       [this, p, node, holder = std::move(holder)]() -> Status {
         obs::Tracer& tracer = obs::Tracer::Default();
-        const uint64_t salt =
-            common::StableHash64(feed_name_) ^ (0x5374ull << 32) ^ p;
+        const FailurePolicy::RetrySite site{
+            "storage", static_cast<int>(p),
+            common::StableHash64(feed_name_) ^ (0x5374ull << 32) ^ p};
         runtime::Frame frame;
         std::vector<adm::Value> records;  // the frame being stored, decoded
         while (holder->Pop(&frame)) {
@@ -78,29 +76,6 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
             break;
           }
           runtime::FrameView view(frame);
-          // Re-attempts a record whose first attempt failed with `st`: up to
-          // max_retries more tries, each hitting storage.apply and upserting
-          // a fresh decode of the record's frame bytes.
-          auto retry = [&](size_t i, Status st) -> Status {
-            for (uint32_t attempt = 0;; ++attempt) {
-              if (st.ok() || st.code() == StatusCode::kAborted ||
-                  attempt >= config_.max_retries) {
-                return st;
-              }
-              retries_.fetch_add(1, std::memory_order_relaxed);
-              obs::FlightRecorder::Default().Record(
-                  obs::FlightEventKind::kRetry, feed_name_, "storage",
-                  static_cast<int>(p), attempt + 1);
-              uint64_t us = common::RetryBackoffMicros(config_.retry_backoff_us,
-                                                       attempt, salt);
-              if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
-              st = IDEA_FAULT_HIT("storage.apply");
-              if (st.ok()) {
-                Result<adm::Value> rec = view[i].Decode();
-                st = rec.ok() ? dataset_->Upsert(std::move(*rec)) : rec.status();
-              }
-            }
-          };
           auto store = [&]() -> Status {
             // Compute partition p ships to storage holder p, and every drain
             // writes the one shared dataset: records are not re-routed by
@@ -147,20 +122,24 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
                 // The run ended at record i's failed storage.apply hit.
                 failed = std::exchange(hit_failed, Status::OK());
               }
-              Status written = retry(i, failed);
+              // Record i's first attempt (its hit, or its write in the run)
+              // has failed, so the policy retries from that status without
+              // another attempt. A retry hits storage.apply and upserts a
+              // fresh decode of the record's frame bytes.
+              auto again = [&]() -> Status {
+                IDEA_RETURN_NOT_OK(IDEA_FAULT_HIT("storage.apply"));
+                IDEA_ASSIGN_OR_RETURN(adm::Value rec, view[i].Decode());
+                return dataset_->Upsert(std::move(rec));
+              };
+              uint32_t attempts = 0;
+              Status written = policy_->Retry(site, std::move(failed), again, &attempts);
               ++i;
               hit_end = std::max(hit_end, i);
               if (written.ok()) continue;
-              if (config_.on_error == OnError::kDeadLetter && dlq_ != nullptr) {
+              IDEA_RETURN_NOT_OK(policy_->Reject("storage", std::move(written), attempts, [&] {
                 Result<adm::Value> rec = view[i - 1].Decode();
-                dlq_->Add(DeadLetter{rec.ok() ? rec->ToString() : std::string(),
-                                     "storage", written, config_.max_retries + 1});
-                dead_letters_.fetch_add(1, std::memory_order_relaxed);
-              } else if (config_.on_error == OnError::kSkip) {
-                skipped_.fetch_add(1, std::memory_order_relaxed);
-              } else {
-                return written;
-              }
+                return rec.ok() ? rec->ToString() : std::string();
+              }));
               ++rejected;
             }
             IDEA_RETURN_NOT_OK(decoded);
@@ -195,7 +174,7 @@ Status StorageJob::LaunchDrain(size_t p, size_t node,
           Status stored = store();
           if (!stored.ok()) {
             error_.Set(stored);
-            if (config_.on_error == OnError::kAbort) {
+            if (policy_->aborts()) {
               // Dead-node model: stop consuming and fail producers fast.
               holder->Abort(stored);
               break;

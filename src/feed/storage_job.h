@@ -26,7 +26,7 @@
 #include "cluster/cluster_controller.h"
 #include "common/first_error.h"
 #include "common/status.h"
-#include "feed/dead_letter.h"
+#include "feed/failure_policy.h"
 #include "feed/feed.h"
 #include "runtime/partition_holder.h"
 #include "runtime/task_scheduler.h"
@@ -46,12 +46,11 @@ using FrameAckFn = std::function<uint64_t(size_t, uint64_t, uint64_t)>;
 
 class StorageJob {
  public:
-  /// `config` supplies the failure policy (on_error/max_retries/backoff) for
-  /// write failures and the holder push deadline; `dlq` receives records that
-  /// persistently fail to store under the dead-letter policy.
+  /// `policy` takes write failures and must outlive the job; `config`
+  /// supplies the holder push deadline.
   StorageJob(std::string feed_name, cluster::Cluster* cluster,
-             std::shared_ptr<storage::LsmDataset> dataset,
-             FeedConfig config = FeedConfig(), DeadLetterQueue* dlq = nullptr);
+             std::shared_ptr<storage::LsmDataset> dataset, FailurePolicy* policy,
+             FeedConfig config = FeedConfig());
   ~StorageJob();
 
   /// Creates one storage partition holder per partition (partition p on
@@ -82,12 +81,6 @@ class StorageJob {
   /// record counts only from the copy that completes its lease. Also added
   /// to the idea.feed.<f>.records_ingested series.
   uint64_t records_stored() const { return stored_.load(std::memory_order_relaxed); }
-  /// Records dropped by the `skip` policy after write retries were exhausted.
-  uint64_t records_skipped() const { return skipped_.load(std::memory_order_relaxed); }
-  /// Records parked in the DLQ after write retries were exhausted.
-  uint64_t dead_letters() const { return dead_letters_.load(std::memory_order_relaxed); }
-  /// Write retry attempts spent by the drain loops.
-  uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
   /// First storage error (storage failures surface at feed completion).
   Status first_error() const { return error_.Get(); }
 
@@ -105,15 +98,12 @@ class StorageJob {
   std::string feed_name_;
   cluster::Cluster* cluster_;
   std::shared_ptr<storage::LsmDataset> dataset_;
+  FailurePolicy* policy_;
   FeedConfig config_;
-  DeadLetterQueue* dlq_;
   FrameAckFn ack_fn_;
   std::vector<std::shared_ptr<runtime::StoragePartitionHolder>> holders_;
   runtime::TaskGroup drain_tasks_;
   std::atomic<uint64_t> stored_{0};
-  std::atomic<uint64_t> skipped_{0};
-  std::atomic<uint64_t> dead_letters_{0};
-  std::atomic<uint64_t> retries_{0};
   common::FirstError error_;
   bool joined_ = false;
 

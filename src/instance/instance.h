@@ -14,7 +14,7 @@
 #include "cluster/cluster_controller.h"
 #include "common/status.h"
 #include "feed/active_feed_manager.h"
-#include "feed/dead_letter.h"
+#include "feed/failure_policy.h"
 #include "feed/feed.h"
 #include "feed/udf.h"
 #include "obs/admin_server.h"

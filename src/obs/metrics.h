@@ -133,8 +133,8 @@ struct RegistrySnapshot {
 /// Thread-safe name -> metric registry. Lookup takes a mutex; returned
 /// pointers are stable for the registry's lifetime (cache them). Metrics are
 /// cumulative for the process: a holder/feed re-created under the same name
-/// continues the existing series (callers wanting per-instance deltas
-/// snapshot baselines at construction — see HolderStats).
+/// continues the existing series (a reader wanting one instance's traffic
+/// takes the difference of two reads).
 class MetricsRegistry {
  public:
   Counter* GetCounter(const std::string& name);

@@ -36,23 +36,9 @@ void HolderMetrics::Init(const PartitionHolderId& id, obs::MetricsRegistry* regi
   queue_depth = scope.Gauge("queue_depth");
   push_block_us = scope.Histogram("push_block_us");
   pull_block_us = scope.Histogram("pull_block_us");
-  // Registry series are cumulative per name; remember where this holder
-  // instance starts so stats() reports only its own traffic. The depth gauge
-  // is NOT zeroed here: it is delta-maintained, and an absolute write would
-  // stomp a live same-named instance (storage relocation overlap,
-  // abort/drain race).
-  base.records_in = records_in->value();
-  base.records_out = records_out->value();
-}
-
-HolderStats HolderMetrics::View() const {
-  HolderStats s;
-  s.records_in = records_in->value() - base.records_in;
-  s.records_out = records_out->value() - base.records_out;
-  // Exact by construction (deltas net out); holders overwrite with their own
-  // deque size anyway so a shared series never bleeds between instances.
-  s.queue_depth = static_cast<uint64_t>(std::max<int64_t>(0, queue_depth->value()));
-  return s;
+  // The depth gauge is NOT zeroed here: it is delta-maintained, and an
+  // absolute write would stomp a live same-named instance (storage
+  // relocation overlap, abort/drain race).
 }
 
 void IntakePartitionHolder::SetDepthLocked(size_t depth) {
@@ -193,23 +179,11 @@ void IntakePartitionHolder::Abort(Status cause) {
   can_push_.notify_all();
 }
 
-bool IntakePartitionHolder::ExhaustedForTest() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return eof_ && records_.empty();
-}
-
 size_t IntakePartitionHolder::Unacked() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
   for (const auto& [lease, entry] : inflight_) n += entry.records.size();
   return n;
-}
-
-HolderStats IntakePartitionHolder::stats() const {
-  HolderStats s = metrics_.View();
-  std::lock_guard<std::mutex> lock(mu_);
-  s.queue_depth = records_.size();  // this instance's exact depth
-  return s;
 }
 
 void StoragePartitionHolder::SetDepthLocked(size_t depth) {
@@ -294,13 +268,6 @@ void StoragePartitionHolder::Abort(Status cause) {
   SetDepthLocked(0);
   can_pop_.notify_all();
   can_push_.notify_all();
-}
-
-HolderStats StoragePartitionHolder::stats() const {
-  HolderStats s = metrics_.View();
-  std::lock_guard<std::mutex> lock(mu_);
-  s.queue_depth = frames_.size();  // this instance's exact depth
-  return s;
 }
 
 }  // namespace idea::runtime

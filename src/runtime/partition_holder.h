@@ -55,26 +55,15 @@ struct PartitionHolderId {
   }
 };
 
-/// Per-holder statistics. This struct is a *view* over the holder's registry
-/// metrics (idea.<role>.<feed>.p<n>.*), not parallel bookkeeping: counters
-/// are reported relative to a baseline captured at holder construction, so a
-/// holder instance sees only its own traffic even though the underlying
-/// registry series are cumulative for the process.
-struct HolderStats {
-  uint64_t records_in = 0;
-  uint64_t records_out = 0;
-  uint64_t queue_depth = 0;  // records (intake) / frames (storage)
-};
-
-/// The registry metrics one holder records into, plus the construction-time
-/// baseline that makes HolderStats a per-instance view.
+/// The registry metrics one holder records into
+/// (idea.<role>.<feed>.p<n>.*). The series are cumulative per name for the
+/// process, so a reader that wants one holder instance's traffic takes the
+/// difference of two reads.
 ///
 /// The queue_depth gauge is maintained with exact +/- deltas (never Set), so
 /// two live holder instances sharing a metric name — a storage relocation
 /// overlap, or an abort/drain race — see the gauge as the *sum* of their depths
-/// instead of stomping each other with absolute writes. Holders report their
-/// own exact deque size in stats(); the shared gauge feeds dashboards and
-/// high-watermark series.
+/// instead of stomping each other with absolute writes.
 struct HolderMetrics {
   obs::Counter* records_in = nullptr;
   obs::Counter* records_out = nullptr;
@@ -85,10 +74,8 @@ struct HolderMetrics {
   obs::Gauge* queue_depth = nullptr;
   obs::Histogram* push_block_us = nullptr;
   obs::Histogram* pull_block_us = nullptr;
-  HolderStats base;  // counter values at holder construction
 
   void Init(const PartitionHolderId& id, obs::MetricsRegistry* registry);
-  HolderStats View() const;
 };
 
 /// Passive holder: raw (unparsed) records queue up; computing jobs pull
@@ -152,9 +139,6 @@ class IntakePartitionHolder {
   /// Records currently retained in the redelivery ledger.
   size_t Unacked() const;
 
-  bool ExhaustedForTest() const;
-  HolderStats stats() const;
-
  private:
   struct LeaseEntry {
     std::vector<std::string> records;
@@ -209,11 +193,6 @@ class StoragePartitionHolder {
   /// Bounds how long Push may block on a full queue (0 = forever).
   void set_push_deadline_us(uint64_t micros) { push_deadline_us_ = micros; }
 
-  /// Lock-free queue-depth hint for congestion-aware routing.
-  size_t approx_depth() const { return approx_depth_.load(std::memory_order_relaxed); }
-
-  HolderStats stats() const;
-
  private:
   void SetDepthLocked(size_t depth);
 
@@ -227,7 +206,7 @@ class StoragePartitionHolder {
   bool closed_ = false;
   Status abort_cause_;  // OK until Abort()
   std::atomic<uint64_t> push_deadline_us_{0};
-  std::atomic<size_t> approx_depth_{0};
+  std::atomic<size_t> approx_depth_{0};  // this instance's share of the gauge
 };
 
 }  // namespace idea::runtime

@@ -50,6 +50,21 @@ TEST_F(FaultInjectionTest, NthTriggerFiresExactlyOnce) {
                                       false, false, false, false}));
 }
 
+/// Each thread takes its ordinals from a block of its own, and what is left
+/// of a block strands when its thread stops hitting. Ordinal 25 still
+/// reaches some thread, because no block holds it together with others.
+TEST_F(FaultInjectionTest, NthTriggerFiresOnceAcrossThreadsThatStopHitting) {
+  FaultInjector::Default().Arm("fi.nth_threads", FaultSpec::Nth(25));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < 10; ++i) (void)IDEA_FAULT_HIT("fi.nth_threads");
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(FaultInjector::Default().GetStats("fi.nth_threads").fires, 1u);
+}
+
 TEST_F(FaultInjectionTest, EveryNthTriggerFiresPeriodically) {
   FaultInjector::Default().Arm("fi.every", FaultSpec::EveryNth(4));
   int fires = 0;

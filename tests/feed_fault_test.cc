@@ -308,6 +308,38 @@ TEST_F(FeedFaultTest, StorageRetriesRecoverTransientApplyFaults) {
   EXPECT_EQ(env.catalog.FindDataset("Tweets")->LiveRecordCount(), 300u);
 }
 
+/// A write the dataset rejects as invalid fails the same way on every
+/// attempt, so the storage drain does not retry it: under skip every record
+/// is dropped at once and no retry is spent, as the computing job treats a
+/// validation reject.
+TEST_F(FeedFaultTest, StorageDoesNotRetryADeterministicReject) {
+  PipelineEnv env;
+  // The tweets parse as TweetType but lack the field this dataset requires.
+  ASSERT_TRUE(env.catalog
+                  .CreateDatatype(adm::Datatype(
+                      "LangTweetType", {{"id", adm::FieldType::kInt64, false},
+                                        {"lang", adm::FieldType::kString, false}}))
+                  .ok());
+  ASSERT_TRUE(env.catalog.CreateDataset("LangTweets", "LangTweetType", "id").ok());
+
+  ActiveFeedManager::StartArgs args;
+  args.config.name = "F";
+  args.config.type_name = "TweetType";
+  args.config.batch_size = 60;
+  args.config.on_error = OnError::kSkip;
+  args.config.max_retries = 2;
+  args.config.retry_backoff_us = 10;
+  args.connection.dataset = "LangTweets";
+  args.adapter_factory = MakeVectorAdapterFactory(MakeTweets(120));
+  ASSERT_TRUE(env.afm->StartFeed(std::move(args)).ok());
+  auto stats = env.afm->WaitForFeedStats("F");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->records_ingested, 0u);
+  EXPECT_EQ(stats->records_skipped, 120u);
+  EXPECT_EQ(stats->retries, 0u);
+  EXPECT_EQ(env.catalog.FindDataset("LangTweets")->LiveRecordCount(), 0u);
+}
+
 /// A write that fails inside a frame's lock hold (the storage drain applies a
 /// frame with one UpsertBatch call) leaves the policy path to that record
 /// alone. Nth(7) lands mid-frame: a frame carries one compute partition's

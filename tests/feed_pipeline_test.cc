@@ -163,12 +163,13 @@ TEST_F(FeedPipelineTest, DynamicEnrichmentSeesReferenceUpdatesBetweenBatches) {
   config.name = "Manual";
   config.type_name = "TweetType";
   config.batch_size = 3;  // one per node
+  FailurePolicy policy(config);
   auto job = ComputingJob::Deploy(config, "tweetSafetyCheck", cluster_.get(), &catalog_,
-                                  &udfs_);
+                                  &udfs_, &policy);
   ASSERT_TRUE(job.ok()) << job.status().ToString();
   // Wire holders manually (normally the intake/storage jobs do this).
   auto dataset = catalog_.FindDataset("EnrichedTweets");
-  StorageJob storage("Manual", cluster_.get(), dataset);
+  StorageJob storage("Manual", cluster_.get(), dataset, &policy);
   ASSERT_TRUE(storage.Start(IdentityPlacement(cluster_->node_count())).ok());
   std::vector<std::shared_ptr<runtime::IntakePartitionHolder>> intake;
   for (size_t p = 0; p < cluster_->node_count(); ++p) {
@@ -329,9 +330,10 @@ TEST_F(FeedPipelineTest, InvocationPullsTheWholeBatchOverUnevenPartitions) {
   config.name = "Uneven";
   config.type_name = "TweetType";
   config.batch_size = 10;
-  auto job = ComputingJob::Deploy(config, "", cluster_.get(), &catalog_, &udfs_);
+  FailurePolicy policy(config);
+  auto job = ComputingJob::Deploy(config, "", cluster_.get(), &catalog_, &udfs_, &policy);
   ASSERT_TRUE(job.ok()) << job.status().ToString();
-  StorageJob storage("Uneven", cluster_.get(), catalog_.FindDataset("Tweets"));
+  StorageJob storage("Uneven", cluster_.get(), catalog_.FindDataset("Tweets"), &policy);
   ASSERT_TRUE(storage.Start(IdentityPlacement(cluster_->node_count())).ok());
   auto records = MakeTweets(15);
   std::vector<std::shared_ptr<runtime::IntakePartitionHolder>> intake;

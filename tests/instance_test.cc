@@ -270,6 +270,57 @@ TEST(InstanceTest, FinishedFeedRowMatchesWaitForFeed) {
   EXPECT_EQ(retry_row.GetField("records_ingested")->AsInt(), 300);
 }
 
+/// The feed-wide skip and retry series count every stage's skips and retries:
+/// an adapter read the intake job skips, a write the storage job skips, and
+/// the storage job's write retries. Each feed's series deltas match what
+/// WaitForFeed returns.
+TEST(InstanceTest, FeedSkipAndRetrySeriesCountEveryStage) {
+  Instance db(SmallCluster());
+  ASSERT_TRUE(db.ExecuteScript(workload::TweetDdl()).ok());
+  ASSERT_TRUE(db.ExecuteScript(R"(
+    CREATE FEED SkipFeed WITH {"type-name": "TweetType", "batch-size": "60",
+                               "on-error": "skip"};
+    CONNECT FEED SkipFeed TO DATASET Tweets;
+    CREATE DATASET RetryTweets(TweetType) PRIMARY KEY id;
+    CREATE FEED RetryFeed WITH {"type-name": "TweetType", "batch-size": "60",
+                                "on-error": "skip", "max-retries": "2",
+                                "retry-backoff-us": "10"};
+    CONNECT FEED RetryFeed TO DATASET RetryTweets;
+  )").ok());
+  auto run = [&](const std::string& feed, size_t n, common::FaultSpec write_fault) {
+    auto records = std::make_shared<std::vector<std::string>>();
+    workload::TweetGenerator gen({.seed = 37, .country_domain = 10});
+    for (size_t i = 0; i < n; ++i) records->push_back(gen.NextJson());
+    EXPECT_TRUE(db.SetFeedAdapterFactory(feed, feed::MakeVectorAdapterFactory(records)).ok());
+    obs::Scope series(&obs::MetricsRegistry::Default(), "idea.feed." + feed);
+    const uint64_t skipped_before = series.Counter("records_skipped")->value();
+    const uint64_t retries_before = series.Counter("retries")->value();
+    common::FaultInjector::Default().Arm("intake.read", common::FaultSpec::Nth(7));
+    common::FaultInjector::Default().Arm("storage.apply", write_fault);
+    EXPECT_TRUE(db.ExecuteSqlpp("START FEED " + feed + ";").ok());
+    auto stats = db.WaitForFeed(feed);
+    common::FaultInjector::Default().DisarmAll();
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    if (!stats.ok()) return feed::FeedRuntimeStats();
+    EXPECT_EQ(series.Counter("records_skipped")->value() - skipped_before,
+              stats->records_skipped);
+    EXPECT_EQ(series.Counter("retries")->value() - retries_before, stats->retries);
+    return *stats;
+  };
+
+  // One unreadable record and one failed write, each skipped.
+  feed::FeedRuntimeStats skipped = run("SkipFeed", 200, common::FaultSpec::Nth(5));
+  EXPECT_EQ(skipped.records_skipped, 2u);
+  EXPECT_EQ(skipped.retries, 0u);
+  EXPECT_EQ(skipped.records_ingested, 198u);
+
+  // One unreadable record skipped; every 25th write stored on its retry.
+  feed::FeedRuntimeStats retried = run("RetryFeed", 300, common::FaultSpec::EveryNth(25));
+  EXPECT_EQ(retried.records_skipped, 1u);
+  EXPECT_GT(retried.retries, 0u);
+  EXPECT_EQ(retried.records_ingested, 299u);
+}
+
 TEST(InstanceTest, CreateFeedRejectsMalformedNumbers) {
   Instance db(SmallCluster());
   ASSERT_TRUE(db.ExecuteScript(workload::TweetDdl()).ok());

@@ -58,12 +58,15 @@ TEST(PartitionHolderTest, EofDeliversPartialBatch) {
   EXPECT_EQ(batch.size(), 1u);
   batch.clear();
   EXPECT_FALSE(holder.PullBatch(100, &batch));  // exhausted
-  EXPECT_TRUE(holder.ExhaustedForTest());
   EXPECT_FALSE(holder.Push("late").ok());
 }
 
 TEST(PartitionHolderTest, StorageHolderCloseSemantics) {
-  StoragePartitionHolder holder({"f", "storage", 1});
+  const PartitionHolderId id{"f", "storage", 1};
+  obs::Scope series(&obs::MetricsRegistry::Default(), id.MetricPrefix());
+  const uint64_t in_before = series.Counter("records_in")->value();
+  const uint64_t out_before = series.Counter("records_out")->value();
+  StoragePartitionHolder holder(id);
   Frame f;
   f.Append(Rec(1, "x"));
   ASSERT_TRUE(holder.Push(std::move(f)).ok());
@@ -71,8 +74,8 @@ TEST(PartitionHolderTest, StorageHolderCloseSemantics) {
   Frame out;
   EXPECT_TRUE(holder.Pop(&out));
   EXPECT_FALSE(holder.Pop(&out));
-  EXPECT_EQ(holder.stats().records_in, 1u);
-  EXPECT_EQ(holder.stats().records_out, 1u);
+  EXPECT_EQ(series.Counter("records_in")->value() - in_before, 1u);
+  EXPECT_EQ(series.Counter("records_out")->value() - out_before, 1u);
 }
 
 TEST(PartitionHolderTest, QueueDepthGaugeIsExactAcrossOverlappingInstances) {
@@ -94,7 +97,6 @@ TEST(PartitionHolderTest, QueueDepthGaugeIsExactAcrossOverlappingInstances) {
   // The doomed instance aborts: only its own contribution is walked back.
   doomed->Abort(Status::Aborted("node died"));
   EXPECT_EQ(gauge->value(), 2);
-  EXPECT_EQ(survivor->stats().queue_depth, 2u);
 
   // Draining the survivor walks the gauge to exactly zero — not negative.
   survivor->Close();
