@@ -35,7 +35,7 @@ struct DeadLetter {
 /// the feed restarts, so operators can drain it after the run.
 class DeadLetterQueue {
  public:
-  explicit DeadLetterQueue(std::string feed, size_t capacity = 4096);
+  explicit DeadLetterQueue(std::string feed, size_t capacity);
 
   /// Parks one letter; evicts the oldest when the queue is at capacity.
   void Add(DeadLetter letter);
